@@ -1,36 +1,28 @@
 """Wave fields with values on the unit sphere: midpoint scheme, computable
 error bounds, and adaptive time stepping on a 2D finite-difference grid."""
 
-from .adapt import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
-                    Decision, StepFloor, decide)
-from .estimator import (EstimatorState, LocalBounds, ResidualBoundFields,
-                        SmallnessViolated, accumulate, alpha_hat, check_smallness,
-                        delta_hat, local_quantities, residual_bounds)
-from .grid import (Grid2D, axpy, cross, dirichlet_form, dot, gradient,
-                   gradient_sq, grad_magnitude, integrate, laplacian, lp_norm,
-                   magnitude, read_field, trapezoid_weights, write_field,
-                   write_field_csv)
-from .harness import (ConfigError, NonPositiveError, RunConfig, TimeMismatch,
-                      Trajectory, energy_norm_error, eoc, run, run_eoc_study)
-from .reconstruct import (DegenerateNorm, ResidualSample, a_terms,
-                          eval_residuals, eval_ustar_wtilde, eval_utilde)
-from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
-                     energy, initial_data, rotation_data, step)
+from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, StepFloor, decide
+from .estimator import (EstimatorState, LocalBounds, SmallnessViolated, accumulate,
+                        alpha_hat, check_smallness, delta_hat, local_quantities,
+                        residual_bounds)
+from .grid import (Grid2D, cross, dirichlet_form, dot, gradient_sq, integrate, laplacian,
+                   lp_norm, magnitude, read_field, write_field, write_field_csv)
+from .harness import (ConfigError, NonPositiveError, RunConfig, TimeMismatch, Trajectory,
+                      energy_norm_error, eoc, run, run_eoc_study)
+from .reconstruct import (DegenerateNorm, a_terms, eval_residuals, eval_ustar_wtilde,
+                          eval_utilde)
+from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data, energy,
+                     initial_data, rotation_data, step)
 
 __all__ = [
-    "Grid2D", "laplacian", "gradient", "gradient_sq", "grad_magnitude",
-    "lp_norm", "integrate", "dirichlet_form", "cross", "dot", "axpy",
-    "magnitude", "trapezoid_weights", "write_field", "read_field",
-    "write_field_csv",
-    "SolverConfig", "StepRecord", "NonConvergence", "initial_data",
-    "constant_data", "rotation_data", "step", "energy",
-    "DegenerateNorm", "ResidualSample", "a_terms", "eval_ustar_wtilde",
-    "eval_utilde", "eval_residuals",
-    "SmallnessViolated", "LocalBounds", "ResidualBoundFields", "EstimatorState",
-    "local_quantities", "check_smallness", "residual_bounds", "alpha_hat",
-    "delta_hat", "accumulate",
-    "EQUIDISTRIBUTE", "UPDATED_TOLERANCE", "AdaptiveController", "Decision",
-    "StepFloor", "decide",
-    "ConfigError", "TimeMismatch", "NonPositiveError", "RunConfig",
-    "Trajectory", "run", "energy_norm_error", "eoc", "run_eoc_study",
+    "EQUIDISTRIBUTE", "UPDATED_TOLERANCE", "AdaptiveController", "StepFloor", "decide",
+    "EstimatorState", "LocalBounds", "SmallnessViolated", "accumulate", "alpha_hat",
+    "check_smallness", "delta_hat", "local_quantities", "residual_bounds",
+    "Grid2D", "cross", "dirichlet_form", "dot", "gradient_sq", "integrate", "laplacian",
+    "lp_norm", "magnitude", "read_field", "write_field", "write_field_csv",
+    "ConfigError", "NonPositiveError", "RunConfig", "TimeMismatch", "Trajectory",
+    "energy_norm_error", "eoc", "run", "run_eoc_study",
+    "DegenerateNorm", "a_terms", "eval_residuals", "eval_ustar_wtilde", "eval_utilde",
+    "NonConvergence", "SolverConfig", "StepRecord", "constant_data", "energy",
+    "initial_data", "rotation_data", "step",
 ]

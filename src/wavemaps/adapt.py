@@ -9,24 +9,20 @@ Two strategies:
     by a smaller remaining Gronwall factor, so they may be allowed to be
     larger; this avoids over-refining near the end of the run.
 
-A non-converged nonlinear solve always forces a rejection with the shrink
-factor, independent of the tolerance.
+Fixed-step runs use a third, internal strategy, ``fixed``: accept every
+step whatever its density and never grow the step.
+
+A non-converged nonlinear solve, a failed smallness condition, or a rate
+that is not finite always forces a rejection with the shrink factor,
+independent of the strategy and the tolerance.
 """
 
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "EQUIDISTRIBUTE",
-    "UPDATED_TOLERANCE",
-    "Decision",
-    "StepFloor",
-    "AdaptiveController",
-    "decide",
-]
-
 EQUIDISTRIBUTE = "equidistribute"
 UPDATED_TOLERANCE = "updated"
+FIXED = "fixed"
 
 
 class StepFloor(Exception):
@@ -51,7 +47,7 @@ class AdaptiveController:
     current_tol: float = None
 
     def __post_init__(self):
-        if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
+        if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.shrink < 1.0 < self.grow:
             raise ValueError("need 0 < shrink < 1 < grow")
@@ -69,12 +65,16 @@ def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
            delta_hat_j: float, fp_converged: bool) -> Decision:
     """Accept/reject the step just computed and propose the next step size.
 
-    The density compared against the tolerance is alpha_hat itself, since
-    the interval integral of the bound is exactly tau * alpha_hat.  Under
-    the updated strategy an accept also grows the current tolerance.
+    ``fp_converged`` is False when the step cannot be evaluated: the
+    nonlinear solve failed or the smallness condition broke.  The density
+    compared against the tolerance is alpha_hat itself, since the interval
+    integral of the bound is exactly tau * alpha_hat.  Under the updated
+    strategy an accept also grows the current tolerance.
     """
-    if not fp_converged:
+    if not (fp_converged and math.isfinite(alpha_hat_j) and math.isfinite(delta_hat_j)):
         return _reject(ctrl, tau)
+    if ctrl.strategy == FIXED:
+        return Decision(accepted=True, tau_next=tau)
     density = alpha_hat_j
     if density > ctrl.current_tol:
         return _reject(ctrl, tau)

@@ -6,10 +6,11 @@ modes: ``fixed`` and ``adaptive`` single runs, and ``eoc`` which drives a
 step-halving self-convergence study and writes eoc.csv.
 
 Exit codes: 0 on success, 2 when the step controller hits its floor,
-3 on configuration errors.
+3 on configuration errors, 4 when a run fails for any other reason.
 """
 
 import argparse
+import os
 import sys
 
 from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, StepFloor
@@ -76,16 +77,21 @@ def _merge(args) -> dict:
     return values
 
 
-def _build_run_config(values: dict):
-    solver = SolverConfig(
+def _solver_config(values: dict) -> SolverConfig:
+    return SolverConfig(
         fp_tol=_parse_number(values.get("fp_tol", "1e-12")),
         fp_max_iter=int(values.get("fp_max_iter", "200")),
         unit_tol=_parse_number(values.get("unit_tol", "1e-9")),
         c_q=_parse_number(values.get("c_q", "4.0")),
         p_exp=_parse_number(values.get("p_exp", "4.0")),
     )
+
+
+def _build_run_config(values: dict):
     mode = values.get("mode", "fixed")
     strategy = values.get("strategy", EQUIDISTRIBUTE)
+    if strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
+        raise ConfigError(f"unknown strategy {strategy!r}")
     controller = None
     if mode == "adaptive":
         default_tol0 = "1e-6" if strategy == UPDATED_TOLERANCE else "1e-4"
@@ -108,7 +114,7 @@ def _build_run_config(values: dict):
         mode=mode,
         tau=_parse_number(values.get("tau", default_tau)),
         t_end=_parse_number(values.get("tend", "0.2")),
-        solver=solver,
+        solver=_solver_config(values),
         controller=controller,
         b0=_parse_number(values.get("b0", "0.0")),
         initial=values.get("initial", "problem"),
@@ -123,19 +129,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = _merge(args)
-        mode = values.get("mode", "fixed")
-        if mode == "eoc":
-            taus = [_parse_number(tok)
-                    for tok in values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")]
-            rows = run_eoc_study(
-                M=int(values.get("grid", "32")),
-                taus=taus,
-                tau_ref=_parse_number(values.get("tau_ref", "2^-13")),
-                t_end=_parse_number(values.get("tend", "0.2")),
-                solver=_build_run_config({k: v for k, v in values.items()
-                                          if k not in ("mode", "out")}).solver,
-                initial=values.get("initial", "problem"),
-            )
+        eoc_mode = values.get("mode", "fixed") == "eoc"
+        if eoc_mode:
+            taus = values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")
+            study = dict(M=int(values.get("grid", "32")),
+                         taus=[_parse_number(tok) for tok in taus],
+                         tau_ref=_parse_number(values.get("tau_ref", "2^-13")),
+                         t_end=_parse_number(values.get("tend", "0.2")),
+                         solver=_solver_config(values),
+                         initial=values.get("initial", "problem"))
+        else:
+            cfg = _build_run_config(values)
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    try:
+        if eoc_mode:
+            rows = run_eoc_study(**study)
             print(f"{'tau':>12} {'err_w':>12} {'eoc_w':>7} {'err_gu':>12} {'eoc_gu':>7}")
             for tau, err_w, eoc_w, err_gu, eoc_gu in rows:
                 print(f"{tau:12.6g} {err_w:12.4e} "
@@ -144,24 +154,27 @@ def main(argv=None) -> int:
                       f"{'---' if eoc_gu is None else format(eoc_gu, '7.2f')}")
             out = values.get("out")
             if out:
-                import os
                 os.makedirs(out, exist_ok=True)
                 write_eoc_csv(os.path.join(out, "eoc.csv"), rows)
-            return 0
-        cfg = _build_run_config(values)
-        traj = run(cfg)
-        print(f"finished at t={traj.final_t:.6g} after {traj.n_accepted} steps "
-              f"({traj.n_rejected} rejected)")
-        print(f"energy drift (relative): {traj.energy_drift:.3e}")
-        print(f"max | |u|-1 |: {traj.unit_dev_max:.3e}   max |u.w|: {traj.orth_dev_max:.3e}")
-        print(f"accumulated error bound B_N: {traj.est.B_j:.6g} (log: {traj.est.log_B:.6g})")
-        return 0
+        else:
+            traj = run(cfg)
+            print(f"finished at t={traj.final_t:.6g} after {traj.n_accepted} steps "
+                  f"({traj.n_rejected} rejected)")
+            print(f"energy drift (relative): {traj.energy_drift:.3e}")
+            print(f"max | |u|-1 |: {traj.unit_dev_max:.3e}   "
+                  f"max |u.w|: {traj.orth_dev_max:.3e}")
+            print(f"accumulated error bound B_N: {traj.est.B_j:.6g} "
+                  f"(log: {traj.est.log_B:.6g})")
     except StepFloor as exc:
         print(f"step floor reached: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # any other fault inside a run
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

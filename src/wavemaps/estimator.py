@@ -28,27 +28,13 @@ because the bounds are constant on each interval.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gr
 from .grid import Grid2D
 from .scheme import SolverConfig, StepRecord
-
-__all__ = [
-    "SmallnessViolated",
-    "LocalBounds",
-    "ResidualBoundFields",
-    "EstimatorState",
-    "local_quantities",
-    "check_smallness",
-    "residual_bounds",
-    "alpha_hat",
-    "delta_hat",
-    "accumulate",
-]
-
 
 class SmallnessViolated(Exception):
     """A_u^2 + tau * B_u reached 1/4 somewhere; the step size must be reduced."""
@@ -240,7 +226,6 @@ class EstimatorState:
     log_B: float = -math.inf
     A_total: float = 0.0
     D_total: float = 0.0
-    history: list = field(default_factory=list)  # rows (t_j, int_alpha, int_delta, B_j)
 
     def __post_init__(self):
         if self.j == 0:
@@ -248,18 +233,16 @@ class EstimatorState:
             self.log_B = math.log(self.b0) if self.b0 > 0.0 else -math.inf
 
 
-def accumulate(state: EstimatorState, int_alpha: float, int_delta: float,
-               t_j: float | None = None) -> EstimatorState:
+def accumulate(state: EstimatorState, int_alpha: float, int_delta: float) -> EstimatorState:
     """Advance the bound recurrence by one interval (mutates and returns state)."""
-    if int_alpha < 0.0 or int_delta < 0.0:
-        raise ValueError("interval integrals must be nonnegative")
+    if not (int_alpha >= 0.0 and int_delta >= 0.0):
+        raise ValueError(f"interval integrals must be nonnegative, got {int_alpha}, {int_delta}")
     growth = math.exp(0.5 * int_delta) if int_delta < 1416.0 else math.inf
-    state.B_j = (state.B_j + int_alpha) * growth
+    total = state.B_j + int_alpha
+    state.B_j = total * growth if total > 0.0 else 0.0  # 0 * inf would be nan
     log_a = math.log(int_alpha) if int_alpha > 0.0 else -math.inf
     state.log_B = float(np.logaddexp(state.log_B, log_a)) + 0.5 * int_delta
     state.A_total += int_alpha
     state.D_total += int_delta
     state.j += 1
-    state.history.append((t_j if t_j is not None else float(state.j),
-                          int_alpha, int_delta, state.B_j))
     return state

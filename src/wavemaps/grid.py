@@ -20,29 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Grid2D",
-    "laplacian",
-    "gradient",
-    "gradient_sq",
-    "grad_magnitude",
-    "lp_norm",
-    "integrate",
-    "dirichlet_form",
-    "cross",
-    "dot",
-    "axpy",
-    "magnitude",
-    "constant_field",
-    "trapezoid_weights",
-    "write_field",
-    "read_field",
-    "write_field_csv",
-    "unit_deviation",
-    "orthogonality_deviation",
-]
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform node-centered grid with M cells (M+1 nodes) per axis."""
@@ -186,10 +163,6 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alpha * x + y
 
 
 def constant_field(g: Grid2D, v) -> np.ndarray:

@@ -3,9 +3,13 @@
 A run advances the midpoint scheme from the configured initial state to
 T_end, evaluates the residual bounds and the rates alpha_hat/delta_hat on
 every accepted interval, and feeds them into the accumulated error bound.
-Fixed-step runs bypass the controller (but still halve the step when the
-nonlinear solve fails to converge or the smallness condition breaks);
-adaptive runs consult the controller after every attempt.
+Every attempt, fixed or adaptive, is accepted or rejected by the step
+controller.  Fixed-step runs use its internal ``fixed`` strategy: accept
+every step that can be evaluated, never grow, and halve when the nonlinear
+solve fails to converge or the smallness condition breaks.  The initial
+state and every accepted state must meet the unit-length and
+orthogonality constraints to ``SolverConfig.unit_tol``, which the
+residual bounds assume.
 
 Reference comparisons measure, over the times shared by two trajectories
 on the same grid,
@@ -17,6 +21,7 @@ which requires the coarse step times to nest into the reference times;
 dyadic fixed steps guarantee that exactly.
 """
 
+import bisect
 import csv
 import math
 import os
@@ -25,26 +30,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid as gr
-from .adapt import AdaptiveController, StepFloor, decide
-from .estimator import (EstimatorState, SmallnessViolated, accumulate, alpha_hat,
-                        check_smallness, delta_hat, local_quantities, residual_bounds)
+from .adapt import FIXED, AdaptiveController, decide
+from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
+                        delta_hat, local_quantities, residual_bounds)
 from .grid import Grid2D
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
                      energy, initial_data, rotation_data, step)
-
-__all__ = [
-    "ConfigError",
-    "TimeMismatch",
-    "NonPositiveError",
-    "RunConfig",
-    "Trajectory",
-    "run",
-    "energy_norm_error",
-    "eoc",
-    "run_eoc_study",
-    "write_eoc_csv",
-    "DEFAULT_SNAPSHOT_FRACTIONS",
-]
 
 _TIME_ATOL = 2.0**-40
 
@@ -66,6 +57,10 @@ class NonPositiveError(Exception):
     """EOC requested for a non-positive error value."""
 
 
+class ConstraintViolation(Exception):
+    """A state left |u| = 1, u . w = 0 by more than SolverConfig.unit_tol."""
+
+
 @dataclass
 class RunConfig:
     M: int = 32
@@ -73,14 +68,13 @@ class RunConfig:
     tau: float = 2.0**-9  # fixed step size, or initial step in adaptive mode
     t_end: float = 0.2
     solver: SolverConfig = field(default_factory=SolverConfig)
-    controller: AdaptiveController | None = None
+    controller: AdaptiveController | None = None  # None -> defaults; fixed mode builds its own
     b0: float = 0.0  # initial value of the accumulated bound
     initial: str = "problem"  # "problem" | "constant" | "rotation"
-    tau_min: float = 2.0**-20  # floor for forced halving in fixed mode
+    tau_min: float = 2.0**-20  # step floor of fixed mode (the controller's in adaptive)
     out_dir: str | None = None
     snapshot_times: tuple | None = None  # None -> DEFAULT_SNAPSHOT_FRACTIONS * t_end
     store_times: tuple = ()  # keep (t, u, w) in memory at these times
-    store_all: bool = False
     dump_residuals: bool = False  # debug: residual samples next to each snapshot
 
     def __post_init__(self):
@@ -96,8 +90,16 @@ class RunConfig:
             raise ConfigError("b0 must be nonnegative")
         if self.M < 2:
             raise ConfigError("M must be at least 2")
-        if self.mode == "adaptive" and self.controller is None:
+        if self.mode == "fixed":
+            if self.controller is not None and self.controller.strategy != FIXED:
+                raise ConfigError("fixed mode takes no controller; its step floor is tau_min")
+            # tau_max is never reached: the fixed strategy does not grow
+            self.controller = AdaptiveController(strategy=FIXED, tau_min=self.tau_min,
+                                                 tau_max=math.inf)
+        elif self.controller is None:
             self.controller = AdaptiveController()
+        elif self.controller.strategy == FIXED:
+            raise ConfigError("the fixed strategy belongs to fixed mode")
 
 
 @dataclass
@@ -139,7 +141,7 @@ def run(cfg: RunConfig) -> Trajectory:
     u, w = _initial_state(cfg, g)
     lap_u = gr.laplacian(u, g)
     est = EstimatorState(b0=cfg.b0)
-    ctrl = replace(cfg.controller) if cfg.controller is not None else None
+    ctrl = replace(cfg.controller)  # the run's tolerance updates stay local
 
     snapshot_times = cfg.snapshot_times
     if snapshot_times is None:
@@ -152,17 +154,12 @@ def run(cfg: RunConfig) -> Trajectory:
     controller_rows: list = []
     estimator_rows: list = []
     energies = [energy(u, w, g)]
-    unit_dev = gr.unit_deviation(u)
-    orth_dev = gr.orthogonality_deviation(u, w)
-    n_accepted = 0
+    unit_dev, orth_dev = _check_constraints(0.0, u, w, cfg.solver.unit_tol)
     n_rejected = 0
     snap_index = 0
 
     def maybe_store(t_now, u_now, w_now):
         nonlocal pending_stores
-        if cfg.store_all:
-            states.append((t_now, u_now.copy(), w_now.copy()))
-            return
         while pending_stores and t_now >= pending_stores[0] - _TIME_ATOL:
             if abs(t_now - pending_stores[0]) <= _TIME_ATOL:
                 states.append((t_now, u_now.copy(), w_now.copy()))
@@ -184,76 +181,59 @@ def run(cfg: RunConfig) -> Trajectory:
     maybe_snapshot(0.0, cfg.tau, u, w)
 
     tau = cfg.tau
-    tau_floor = ctrl.tau_min if ctrl is not None else cfg.tau_min
     t = 0.0
-    j_exact = 0  # step counter while fixed mode is running at the pristine tau
+    j_exact = 0  # step counter while a fixed run is still at its initial tau
     pristine = cfg.mode == "fixed"
 
-    while cfg.t_end - t > tau_floor:
+    while cfg.t_end - t > ctrl.tau_min:
         tau_eff = min(tau, cfg.t_end - t)
         clamped = tau_eff < tau
+        a_j = d_j = 0.0
+        ok = False  # the solve converged and the smallness condition holds
         try:
             u1, w1, _ = step(u, w, tau_eff, cfg.solver, g)
-            solver_ok = True
         except NonConvergence:
-            solver_ok = False
-
-        a_j = d_j = 0.0
-        bounds_ok = False
-        if solver_ok:
+            pass
+        else:
             lap_u1 = gr.laplacian(u1, g)
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
                              w_n=w, w_np1=w1, lap_u_n=lap_u, lap_u_np1=lap_u1)
             lb = local_quantities(rec, g)
-            if check_smallness(lb, tau_eff):
-                bounds_ok = True
+            ok = check_smallness(lb, tau_eff)
+            if ok:
                 rbf = residual_bounds(lb, tau_eff)
                 a_j = alpha_hat(rbf, lb, tau_eff, g)
                 d_j = delta_hat(lb, tau_eff, cfg.solver, g)
 
-        if cfg.mode == "fixed":
-            if solver_ok and bounds_ok:
-                accepted = True
-                tau_next = tau
-            else:
-                accepted = False
-                tau_next = tau_eff * 0.5
-                if tau_next < tau_floor:
-                    raise StepFloor(
-                        f"fixed-mode halving pushed tau to {tau_next:.3e} < {tau_floor:.3e}")
-                pristine = False
-        else:
-            tol_used = ctrl.current_tol
-            decision = decide(ctrl, tau_eff, a_j, d_j, solver_ok and bounds_ok)
-            accepted = decision.accepted
-            tau_next = decision.tau_next
+        tol_used = ctrl.current_tol
+        decision = decide(ctrl, tau_eff, a_j, d_j, ok)
+        if cfg.mode == "adaptive":
             controller_rows.append(
-                (t, tau_eff, "accept" if accepted else "reject", tol_used, a_j))
-
-        if not accepted:
+                (t, tau_eff, "accept" if decision.accepted else "reject", tol_used, a_j))
+        tau = decision.tau_next
+        if not decision.accepted:
             n_rejected += 1
-            tau = tau_next
+            pristine = False
             continue
 
         if pristine and not clamped:
             j_exact += 1
-            t_new = j_exact * tau  # exact dyadic times for nested comparisons
+            t_new = j_exact * tau_eff  # exact dyadic times for nested comparisons
         else:
             t_new = cfg.t_end if clamped else t + tau_eff
 
         int_a = tau_eff * a_j
         int_d = tau_eff * d_j
-        accumulate(est, int_a, int_d, t_j=t_new)
+        accumulate(est, int_a, int_d)
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
         u, w, lap_u = u1, w1, lap_u1
         t = t_new
-        tau = tau_next
-        n_accepted += 1
         times.append(t)
         energies.append(energy(u, w, g))
-        unit_dev = max(unit_dev, gr.unit_deviation(u))
-        orth_dev = max(orth_dev, gr.orthogonality_deviation(u, w))
+        unit_k, orth_k = _check_constraints(t, u, w, cfg.solver.unit_tol)
+        unit_dev = max(unit_dev, unit_k)
+        orth_dev = max(orth_dev, orth_k)
         maybe_store(t, u, w)
         maybe_snapshot(t, tau_eff, u, w, rec)
 
@@ -261,12 +241,25 @@ def run(cfg: RunConfig) -> Trajectory:
         grid=g, times=times, states=states, est=est,
         controller_rows=controller_rows, estimator_rows=estimator_rows,
         energies=energies, unit_dev_max=unit_dev, orth_dev_max=orth_dev,
-        n_accepted=n_accepted, n_rejected=n_rejected,
+        n_accepted=len(times), n_rejected=n_rejected,
         final_t=t, final_u=u, final_w=w,
     )
     if cfg.out_dir is not None:
         _write_outputs(cfg, traj)
     return traj
+
+
+def _check_constraints(t, u, w, unit_tol):
+    """(max||u|-1|, max|u.w|) of one state; raises ConstraintViolation when
+    either exceeds unit_tol, the orthogonality one scaled by max(1, max|w|)."""
+    unit_dev = gr.unit_deviation(u)
+    orth_dev = gr.orthogonality_deviation(u, w)
+    orth_tol = unit_tol * max(1.0, float(gr.magnitude(w).max()))
+    if not (unit_dev <= unit_tol and orth_dev <= orth_tol):
+        raise ConstraintViolation(
+            f"at t={t!r}: max||u|-1| = {unit_dev:.3e}, max|u.w| = {orth_dev:.3e} "
+            f"(allowed {unit_tol:.3e} and {orth_tol:.3e})")
+    return unit_dev, orth_dev
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +276,13 @@ def energy_norm_error(coarse: Trajectory, ref: Trajectory, g: Grid2D):
     err_w = 0.0
     err_gu = 0.0
     for t, u_c, w_c in coarse.states:
-        k = _find_time(ref_times, t)
-        if k is None:
+        k = bisect.bisect_left(ref_times, t - _TIME_ATOL)
+        if k == len(ref_times) or abs(ref_times[k] - t) > _TIME_ATOL:
             raise TimeMismatch(f"time {t!r} missing from reference trajectory")
         _, u_r, w_r = ref.states[k]
         err_w = max(err_w, gr.lp_norm(w_c - w_r, 2.0, g))
         err_gu = max(err_gu, math.sqrt(gr.integrate(gr.gradient_sq(u_c - u_r, g), g)))
     return err_w, err_gu
-
-
-def _find_time(times, t):
-    lo, hi = 0, len(times)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if times[mid] < t - _TIME_ATOL:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(times) and abs(times[lo] - t) <= _TIME_ATOL:
-        return lo
-    return None
 
 
 def eoc(e_coarse: float, e_fine: float) -> float:

@@ -34,15 +34,6 @@ import numpy as np
 from . import grid as gr
 from .scheme import StepRecord
 
-__all__ = [
-    "DegenerateNorm",
-    "ResidualSample",
-    "a_terms",
-    "eval_ustar_wtilde",
-    "eval_utilde",
-    "eval_residuals",
-]
-
 # reject reconstruction states that left the guaranteed-norm regime entirely
 MIN_USTAR_NORM = 0.25
 
@@ -76,35 +67,40 @@ def a_terms(rec: StepRecord):
     return 0.25 * gr.cross(du, dw), 0.25 * gr.cross(dlap, du)
 
 
-def _bubble(rec: StepRecord, t: float) -> float:
-    return (t - rec.t_n) * (rec.t_np1 - t) / rec.tau
+def _reconstruct(rec: StepRecord, t: float):
+    """(ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1)) at time t.
 
-
-def _endpoint_products(rec: StepRecord):
+    l1 is the linear interpolation weight, du = u1 - u0, uw and lu are the
+    endpoint products u x w and lap(u) x u.
+    """
+    l1 = (t - rec.t_n) / rec.tau
+    du = rec.u_np1 - rec.u_n
     uw0 = gr.cross(rec.u_n, rec.w_n)
     uw1 = gr.cross(rec.u_np1, rec.w_np1)
     lu0 = gr.cross(rec.lap_u_n, rec.u_n)
     lu1 = gr.cross(rec.lap_u_np1, rec.u_np1)
-    return uw0, uw1, lu0, lu1
+    b = 0.5 * ((t - rec.t_n) * (rec.t_np1 - t) / rec.tau)  # half the interval bubble
+    ustar = rec.u_n + l1 * du - b * (uw1 - uw0)
+    wtilde = rec.w_n + l1 * (rec.w_np1 - rec.w_n) - b * (lu1 - lu0)
+    return ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1)
+
+
+def _normalize(ustar: np.ndarray, t: float):
+    """(ustar / |ustar|, |ustar|); raises DegenerateNorm."""
+    norm = gr.magnitude(ustar)
+    if float(norm.min()) < MIN_USTAR_NORM:
+        raise DegenerateNorm(f"|ustar| fell to {norm.min():.3g} at t={t}")
+    return ustar / norm[..., None], norm
 
 
 def eval_ustar_wtilde(rec: StepRecord, t: float):
     """Quadratic reconstructions (ustar, wtilde) at time t in [t_n, t_np1]."""
-    l1 = (t - rec.t_n) / rec.tau
-    uhat = rec.u_n + l1 * (rec.u_np1 - rec.u_n)
-    what = rec.w_n + l1 * (rec.w_np1 - rec.w_n)
-    uw0, uw1, lu0, lu1 = _endpoint_products(rec)
-    b = 0.5 * _bubble(rec, t)
-    return uhat - b * (uw1 - uw0), what - b * (lu1 - lu0)
+    return _reconstruct(rec, t)[:2]
 
 
 def eval_utilde(rec: StepRecord, t: float):
     """Sphere-valued reconstruction ustar/|ustar|; raises DegenerateNorm."""
-    ustar, _ = eval_ustar_wtilde(rec, t)
-    n = gr.magnitude(ustar)
-    if float(n.min()) < MIN_USTAR_NORM:
-        raise DegenerateNorm(f"|ustar| fell to {n.min():.3g} at t={t}")
-    return ustar / n[..., None]
+    return _normalize(_reconstruct(rec, t)[0], t)[0]
 
 
 def eval_residuals(rec: StepRecord, t: float) -> ResidualSample:
@@ -113,21 +109,9 @@ def eval_residuals(rec: StepRecord, t: float) -> ResidualSample:
         raise ValueError(f"sample time {t} not inside ({rec.t_n}, {rec.t_np1})")
     g = rec.grid
     tau = rec.tau
-    l1 = (t - rec.t_n) / tau
-    du = rec.u_np1 - rec.u_n
-    dw = rec.w_np1 - rec.w_n
-
-    uw0, uw1, lu0, lu1 = _endpoint_products(rec)
-    uhat = rec.u_n + l1 * du
-    what = rec.w_n + l1 * dw
-    b = 0.5 * _bubble(rec, t)
-    ustar = uhat - b * (uw1 - uw0)
-    wtilde = what - b * (lu1 - lu0)
-
-    norm = gr.magnitude(ustar)
-    if float(norm.min()) < MIN_USTAR_NORM:
-        raise DegenerateNorm(f"|ustar| fell to {norm.min():.3g} at t={t}")
-    utilde = ustar / norm[..., None]
+    ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1) = _reconstruct(rec, t)
+    utilde, norm = _normalize(ustar, t)
+    a_u, a_w = a_terms(rec)
 
     # d/dt of the quadratic: linear slope minus bubble-rate times the defect
     dustar = du / tau - 0.5 * ((rec.t_n + rec.t_np1 - 2.0 * t) / tau) * (uw1 - uw0)
@@ -135,10 +119,9 @@ def eval_residuals(rec: StepRecord, t: float) -> ResidualSample:
     dutilde = dustar / norm[..., None] - proj[..., None] * ustar
 
     r_u1 = uw0 + l1 * (uw1 - uw0) - gr.cross(utilde, wtilde)
-    r_u2 = -0.25 * gr.cross(du, dw)
+    r_u2 = -a_u
     r_u3 = dutilde - dustar
 
-    a_w = 0.25 * gr.cross(rec.lap_u_np1 - rec.lap_u_n, du)
     lap_utilde = gr.laplacian(utilde, g)
     r_w = lu0 + l1 * (lu1 - lu0) - gr.cross(lap_utilde, utilde) - a_w
 

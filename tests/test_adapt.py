@@ -4,6 +4,7 @@ import pytest
 
 from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
                       StepFloor, decide)
+from wavemaps.adapt import FIXED
 
 
 def make(strategy=EQUIDISTRIBUTE, **kw):
@@ -73,6 +74,29 @@ def test_step_floor_raises():
     ctrl = make(tau_min=2.0**-10)
     with pytest.raises(StepFloor):
         decide(ctrl, 2.0**-10, 1.0, 1.0, fp_converged=True)  # density too big
+
+
+def test_fixed_strategy_accepts_any_density_and_never_grows():
+    ctrl = make(FIXED, tau_min=2.0**-10)
+    for density in (0.0, 1e-3, 1e9):
+        d = decide(ctrl, 0.01, density, 5.0, fp_converged=True)
+        assert d.accepted and d.tau_next == 0.01
+    assert ctrl.current_tol == ctrl.tol0
+    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False)
+    assert not d.accepted and d.tau_next == 0.005
+    with pytest.raises(StepFloor):
+        decide(ctrl, 2.0**-10, 0.0, 0.0, fp_converged=False)
+
+
+@pytest.mark.parametrize("strategy", [EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["alpha_hat", "delta_hat"])
+def test_nonfinite_rates_are_rejected(strategy, bad, which):
+    ctrl = make(strategy, tol0=1e9)
+    rates = {"alpha_hat": 1e-6, "delta_hat": 1.0, which: bad}
+    d = decide(ctrl, 0.01, rates["alpha_hat"], rates["delta_hat"], fp_converged=True)
+    assert not d.accepted and d.tau_next == 0.005
+    assert ctrl.current_tol == ctrl.tol0
 
 
 def test_decisions_deterministic():

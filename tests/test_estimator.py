@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wavemaps import (EstimatorState, Grid2D, LocalBounds, SmallnessViolated,
                       SolverConfig, StepRecord, accumulate, alpha_hat,
@@ -188,6 +190,29 @@ def test_accumulate_rejects_negative_inputs():
         accumulate(st, -1.0, 0.0)
     with pytest.raises(ValueError):
         accumulate(st, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_accumulate_rejects_nan(args):
+    state = EstimatorState(b0=1.0)
+    with pytest.raises(ValueError):
+        accumulate(state, *args)
+    assert (state.j, state.B_j, state.log_B) == (0, 1.0, 0.0)
+
+
+_integral = st.one_of(st.just(0.0), st.floats(0.0, 3000.0))
+
+
+@given(b0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+       steps=st.lists(st.tuples(_integral, _integral), max_size=20))
+def test_accumulate_log_b_consistent_with_b_j(b0, steps):
+    state = EstimatorState(b0=b0)
+    for int_alpha, int_delta in steps:
+        accumulate(state, int_alpha, int_delta)
+        assert not math.isnan(state.B_j) and not math.isnan(state.log_B)
+        assert (state.log_B == -math.inf) == (state.B_j == 0.0)
+        if 0.0 < state.B_j < math.inf:
+            assert state.log_B == pytest.approx(math.log(state.B_j), rel=1e-12, abs=1e-9)
 
 
 def test_accumulate_survives_overflowing_growth():

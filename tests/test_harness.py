@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
-                      ConfigError, EstimatorState, Grid2D, NonPositiveError,
-                      RunConfig, SolverConfig, StepFloor, TimeMismatch,
+                      ConfigError, EstimatorState, Grid2D, NonConvergence,
+                      NonPositiveError, RunConfig, SolverConfig, StepFloor, TimeMismatch,
                       Trajectory, energy_norm_error, eoc, read_field,
                       rotation_data, run, run_eoc_study)
 from wavemaps import cli
@@ -58,6 +58,39 @@ def test_fixed_run_times_are_exact_dyadic_multiples():
     assert traj.final_t >= 0.2 - cfg.tau_min
 
 
+def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch):
+    # tau = 1/8 and 1/16 are above the solver's convergence threshold at
+    # M = 16, and after three steps at 1/32 the smallness condition fails
+    import wavemaps.harness as hz
+    failures = []
+    real_step, real_smallness = hz.step, hz.check_smallness
+
+    def watched_step(u, w, tau, cfg, g):
+        try:
+            return real_step(u, w, tau, cfg, g)
+        except NonConvergence:
+            failures.append(("solver", tau))
+            raise
+
+    def watched_smallness(lb, tau):
+        ok = real_smallness(lb, tau)
+        if not ok:
+            failures.append(("smallness", tau))
+        return ok
+
+    monkeypatch.setattr(hz, "step", watched_step)
+    monkeypatch.setattr(hz, "check_smallness", watched_smallness)
+    traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3))
+    assert failures == [("solver", 2.0**-3), ("solver", 2.0**-4), ("smallness", 2.0**-5)]
+    assert (traj.n_accepted, traj.n_rejected) == (17, 3)
+    assert traj.est.log_B == pytest.approx(702.0615168150063, rel=1e-9)
+    taus = [row[1] for row in traj.estimator_rows]
+    assert taus[:3] == [2.0**-5] * 3
+    assert set(taus[3:-1]) == {2.0**-6}
+    assert taus[-1] < 2.0**-6  # the final step is clamped to land on t_end
+    assert traj.final_t == 0.3
+
+
 def test_outputs_and_snapshot_roundtrip(tmp_path):
     out = tmp_path / "out"
     cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.1, initial="problem",
@@ -100,7 +133,7 @@ def test_reruns_are_bit_identical(tmp_path):
 def test_energy_norm_error_of_trajectory_with_itself():
     g = Grid2D(8)
     cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.08, initial="problem",
-                    store_all=True)
+                    store_times=(0.0, 0.02, 0.04, 0.06, 0.08))
     traj = run(cfg)
     err_w, err_gu = energy_norm_error(traj, traj, g)
     assert err_w == 0.0 and err_gu == 0.0
@@ -203,9 +236,41 @@ def test_adaptive_run_hits_step_floor():
         run(cfg)
 
 
+def test_run_enforces_unit_tol_on_accepted_states(monkeypatch):
+    import wavemaps.harness as hz
+    real_step = hz.step
+
+    def stretched_step(u, w, tau, cfg, g):
+        u1, w1, it = real_step(u, w, tau, cfg, g)
+        return (1.0 + 1e-8) * u1, w1, it
+
+    monkeypatch.setattr(hz, "step", stretched_step)
+    cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="constant")
+    with pytest.raises(hz.ConstraintViolation, match="t=0.02"):
+        run(cfg)
+    # the same deviation passes a tolerance above it
+    traj = run(RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="constant",
+                         solver=SolverConfig(unit_tol=1e-7)))
+    assert 1e-8 < traj.unit_dev_max <= 1e-7  # the stretch compounds over 3 steps
+
+
+def test_run_checks_the_initial_state(monkeypatch):
+    import wavemaps.harness as hz
+    # u . w = 0.1 at every node, far above unit_tol * max(1, |w|)
+    monkeypatch.setattr(hz, "_initial_state", lambda cfg, g: (
+        gr.constant_field(g, (1, 0, 0)), gr.constant_field(g, (0.1, 1, 0))))
+    with pytest.raises(hz.ConstraintViolation, match="t=0.0"):
+        run(RunConfig(M=4, mode="fixed", tau=0.01, t_end=0.02))
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(mode="nonsense")
+    # the fixed strategy is internal to fixed mode, which takes no other controller
+    with pytest.raises(ConfigError):
+        RunConfig(mode="adaptive", controller=AdaptiveController(strategy="fixed"))
+    with pytest.raises(ConfigError):
+        RunConfig(mode="fixed", controller=AdaptiveController())
     with pytest.raises(ConfigError):
         RunConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
@@ -257,6 +322,25 @@ def test_cli_step_floor_exit_code(tmp_path):
         "tau = 2^-8\ntend = 0.05\n")
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 2
+
+
+def test_cli_rejects_fixed_strategy(tmp_path, capsys):
+    cfgfile = tmp_path / "fixed.cfg"
+    cfgfile.write_text("grid = 8\nmode = adaptive\nstrategy = fixed\ntend = 0.01\n")
+    rc = cli.main(["--config", str(cfgfile)])
+    assert rc == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
+    def failing_run(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    rc = cli.main(["--mode", "fixed", "--grid", "8", "--tend", "0.01"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "boom" in err and "configuration" not in err
 
 
 def test_cli_eoc_mode(tmp_path, capsys):
