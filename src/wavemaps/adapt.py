@@ -7,7 +7,8 @@ Two strategies:
   * updated: same accept/reject rule, but after every accepted step the
     tolerance grows by exp(tau * delta_hat / 2).  Later errors are amplified
     by a smaller remaining Gronwall factor, so they may be allowed to be
-    larger; this avoids over-refining near the end of the run.
+    larger; this avoids over-refining near the end of the run.  Once the
+    factor overflows, the tolerance is inf and every evaluable step passes.
 
 Fixed-step runs use a third, internal strategy, ``fixed``: accept every
 step whatever its density and never grow the step.
@@ -83,7 +84,9 @@ def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
     else:
         tau_next = tau
     if ctrl.strategy == UPDATED_TOLERANCE:
-        ctrl.current_tol *= math.exp(0.5 * tau * delta_hat_j)
+        half_int_delta = 0.5 * tau * delta_hat_j
+        # saturate at inf like the bound's own growth factor (exp overflows past ~709.8)
+        ctrl.current_tol *= math.exp(half_int_delta) if half_int_delta < 708.0 else math.inf
     return Decision(accepted=True, tau_next=tau_next)
 
 

@@ -8,7 +8,10 @@ From one StepRecord the node-wise quantities
     B_w  = |lap u1 x u1 - lap u0 x u0|    (+ _x variant)
     C_w  = max(|w0|, |w1|)    C_u_x, C_w_x, C_u_xx analogous maxima
 
-are assembled with the grid module's centered/5-point operators.  Under
+are assembled with the grid module's centered/5-point operators.  The
+factors that depend on one state alone (u x w, lap u x u, |w|, |grad u|,
+|grad w|, |lap u|) are its EndpointTerms; a run computes them once per
+accepted state and uses them on both intervals that state bounds.  Under
 the smallness condition A_u^2 + tau * B_u < 1/4 they yield point-wise
 upper bounds for each residual part of the reconstruction, valid
 uniformly on the interval.  The bounds feed two scalar rates:
@@ -82,13 +85,51 @@ class ResidualBoundFields:
         return self.bd_grad_ru1 + self.bd_grad_ru2 + self.bd_grad_ru3
 
 
-def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
-    """Assemble every node-wise quantity entering the residual bounds."""
+@dataclass
+class EndpointTerms:
+    """The factors of the local quantities that depend on one state alone.
+
+    Each accepted state is the end of one interval and the start of the
+    next, so a run computes these once per state and passes them on.
+    """
+
+    u_x_w: np.ndarray  # u x w
+    lap_u_x_u: np.ndarray  # lap u x u
+    mag_w: np.ndarray  # |w|
+    grad_u: np.ndarray  # |grad u|
+    grad_w: np.ndarray  # |grad w|
+    mag_lap_u: np.ndarray  # |lap u|
+
+
+def endpoint_terms(u, w, lap_u, g: Grid2D) -> EndpointTerms:
+    """Per-state terms of one endpoint (u, w) with its Laplacian lap_u."""
+    return EndpointTerms(
+        u_x_w=gr.cross(u, w),
+        lap_u_x_u=gr.cross(lap_u, u),
+        mag_w=gr.magnitude(w),
+        grad_u=gr.grad_magnitude(u, g),
+        grad_w=gr.grad_magnitude(w, g),
+        mag_lap_u=gr.magnitude(lap_u),
+    )
+
+
+def local_quantities(rec: StepRecord, g: Grid2D,
+                     ends: tuple[EndpointTerms, EndpointTerms] | None = None
+                     ) -> LocalBounds:
+    """Assemble every node-wise quantity entering the residual bounds.
+
+    ``ends`` holds the endpoint terms of (u_n, w_n) and (u_np1, w_np1);
+    both are computed here when it is not given.
+    """
+    if ends is None:
+        ends = (endpoint_terms(rec.u_n, rec.w_n, rec.lap_u_n, g),
+                endpoint_terms(rec.u_np1, rec.w_np1, rec.lap_u_np1, g))
+    e0, e1 = ends
     du = rec.u_np1 - rec.u_n
     dw = rec.w_np1 - rec.w_n
     dlap = rec.lap_u_np1 - rec.lap_u_n
-    P = gr.cross(rec.u_np1, rec.w_np1) - gr.cross(rec.u_n, rec.w_n)
-    Q = gr.cross(rec.lap_u_np1, rec.u_np1) - gr.cross(rec.lap_u_n, rec.u_n)
+    P = e1.u_x_w - e0.u_x_w
+    Q = e1.lap_u_x_u - e0.lap_u_x_u
     return LocalBounds(
         A_u=gr.magnitude(du),
         A_u_x=gr.grad_magnitude(du, g),
@@ -100,10 +141,10 @@ def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
         B_u_xx=gr.magnitude(gr.laplacian(P, g)),
         B_w=gr.magnitude(Q),
         B_w_x=gr.grad_magnitude(Q, g),
-        C_w=np.maximum(gr.magnitude(rec.w_n), gr.magnitude(rec.w_np1)),
-        C_u_x=np.maximum(gr.grad_magnitude(rec.u_n, g), gr.grad_magnitude(rec.u_np1, g)),
-        C_w_x=np.maximum(gr.grad_magnitude(rec.w_n, g), gr.grad_magnitude(rec.w_np1, g)),
-        C_u_xx=np.maximum(gr.magnitude(rec.lap_u_n), gr.magnitude(rec.lap_u_np1)),
+        C_w=np.maximum(e0.mag_w, e1.mag_w),
+        C_u_x=np.maximum(e0.grad_u, e1.grad_u),
+        C_w_x=np.maximum(e0.grad_w, e1.grad_w),
+        C_u_xx=np.maximum(e0.mag_lap_u, e1.mag_lap_u),
     )
 
 
@@ -114,24 +155,30 @@ def check_smallness(lb: LocalBounds, tau: float) -> bool:
 
 def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     """Evaluate the point-wise bound formulas; requires the smallness condition."""
-    if not check_smallness(lb, tau):
-        raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
-
     A_u, A_u_x, A_u_xx = lb.A_u, lb.A_u_x, lb.A_u_xx
     A_w, A_w_x = lb.A_w, lb.A_w_x
     B_u, B_u_x, B_u_xx = lb.B_u, lb.B_u_x, lb.B_u_xx
     B_w, B_w_x = lb.B_w, lb.B_w_x
     C_w, C_u_x, C_w_x, C_u_xx = lb.C_w, lb.C_u_x, lb.C_w_x, lb.C_u_xx
 
-    bd_ru1 = tau * B_w + C_w * A_u**2 + C_w * tau * B_u + 0.25 * A_u * A_w
+    # shared subexpressions; a product like C_w * tau * B_u is (C_w * tau) * B_u
+    # and keeps its own rounding, so only standalone tau * B products are reused
+    A_u2 = A_u**2
+    tB_u = tau * B_u
+    tB_u_x = tau * B_u_x
+    tB_w = tau * B_w
+    if not np.all(A_u2 + tB_u < 0.25):
+        raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
+
+    bd_ru1 = tB_w + C_w * A_u2 + C_w * tau * B_u + 0.25 * A_u * A_w
 
     bd_grad_ru1 = (
-        (C_u_x + tau * B_u_x) * (tau * B_w + C_w * A_u**2)
+        (C_u_x + tB_u_x) * (tB_w + C_w * A_u2)
         + tau * B_w_x
-        + C_w * (A_u_x * A_u + tau * B_u_x + C_u_x * tau * B_u + tau**2 * B_u * B_u_x)
-        + A_u**2 * C_w_x
-        + tau * B_u_x * C_w
-        + tau * B_u * C_w_x
+        + C_w * (A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u * B_u_x)
+        + A_u2 * C_w_x
+        + tB_u_x * C_w
+        + tB_u * C_w_x
         + A_u_x * A_w
         + A_u * A_w_x
     )
@@ -139,14 +186,14 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     bd_ru2 = 0.25 * A_u * A_w
     bd_grad_ru2 = 0.25 * (A_u_x * A_w + A_u * A_w_x)
 
-    proj_defect = (4.0 / 3.0) * A_u**2 + (8.0 / 3.0) * tau * B_u
+    proj_defect = (4.0 / 3.0) * A_u2 + (8.0 / 3.0) * tau * B_u
     bd_ru3 = (
         (C_w + 0.25 * A_u * A_w) * proj_defect
-        + 4.0 * A_u * A_w * (2.0 + tau * B_u)
+        + 4.0 * A_u * A_w * (2.0 + tB_u)
         + 4.0 * C_w * tau * B_u
     )
 
-    norm_grad = A_u_x * A_u + tau * B_u_x + C_u_x * tau * B_u + tau**2 * B_u_x * B_u
+    norm_grad = A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u_x * B_u
     bd_grad_ru3 = (
         (C_u_x * C_w + C_w_x + 0.25 * A_u_x * A_w + 0.25 * A_u * A_w_x) * proj_defect
         + 1.5 * A_u_x * A_w
@@ -158,17 +205,17 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     )
 
     bd_rw = (
-        (C_u_xx + tau * B_u_xx) * ((7.0 / 3.0) * A_u**2 + (11.0 / 3.0) * tau * B_u)
+        (C_u_xx + tau * B_u_xx) * ((7.0 / 3.0) * A_u2 + (11.0 / 3.0) * tau * B_u)
         + 2.25 * A_u_xx * A_u
         + A_u_x**2
         + 2.0
-        * (C_u_x + tau * B_u_x)
-        * (A_u_x * A_u + tau * B_u_x + (1.0 + C_u_x) * tau * B_u + tau**2 * B_u_x * B_u)
+        * (C_u_x + tB_u_x)
+        * (A_u_x * A_u + tB_u_x + (1.0 + C_u_x) * tau * B_u + tau**2 * B_u_x * B_u)
     )
 
     # S bounds |utilde . wtilde| on the interval
-    S = tau * B_w + C_w * (A_u**2 + tau * B_u) + A_u * A_w
-    bd_rg = (C_w + tau * B_w) * S + S**2
+    S = tB_w + C_w * (A_u2 + tB_u) + A_u * A_w
+    bd_rg = (C_w + tB_w) * S + S**2
 
     return ResidualBoundFields(
         bd_ru1=bd_ru1,

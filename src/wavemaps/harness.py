@@ -9,7 +9,8 @@ every step that can be evaluated, never grow, and halve when the nonlinear
 solve fails to converge or the smallness condition breaks.  The initial
 state and every accepted state must meet the unit-length and
 orthogonality constraints to ``SolverConfig.unit_tol``, which the
-residual bounds assume.
+residual bounds assume.  Each accepted state's Laplacian and estimator
+endpoint terms are computed once and carried to the next interval.
 
 Reference comparisons measure, over the times shared by two trajectories
 on the same grid,
@@ -32,7 +33,7 @@ import numpy as np
 from . import grid as gr
 from .adapt import FIXED, AdaptiveController, decide
 from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
-                        delta_hat, local_quantities, residual_bounds)
+                        delta_hat, endpoint_terms, local_quantities, residual_bounds)
 from .grid import Grid2D
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
                      energy, initial_data, rotation_data, step)
@@ -140,6 +141,7 @@ def run(cfg: RunConfig) -> Trajectory:
     g = Grid2D(cfg.M)
     u, w = _initial_state(cfg, g)
     lap_u = gr.laplacian(u, g)
+    terms = endpoint_terms(u, w, lap_u, g)  # carried forward like lap_u
     est = EstimatorState(b0=cfg.b0)
     ctrl = replace(cfg.controller)  # the run's tolerance updates stay local
 
@@ -154,7 +156,7 @@ def run(cfg: RunConfig) -> Trajectory:
     controller_rows: list = []
     estimator_rows: list = []
     energies = [energy(u, w, g)]
-    unit_dev, orth_dev = _check_constraints(0.0, u, w, cfg.solver.unit_tol)
+    unit_dev, orth_dev = _check_constraints(0.0, u, w, terms.mag_w, cfg.solver.unit_tol)
     n_rejected = 0
     snap_index = 0
 
@@ -196,14 +198,10 @@ def run(cfg: RunConfig) -> Trajectory:
             pass
         else:
             lap_u1 = gr.laplacian(u1, g)
+            terms1 = endpoint_terms(u1, w1, lap_u1, g)
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
                              w_n=w, w_np1=w1, lap_u_n=lap_u, lap_u_np1=lap_u1)
-            lb = local_quantities(rec, g)
-            ok = check_smallness(lb, tau_eff)
-            if ok:
-                rbf = residual_bounds(lb, tau_eff)
-                a_j = alpha_hat(rbf, lb, tau_eff, g)
-                d_j = delta_hat(lb, tau_eff, cfg.solver, g)
+            ok, a_j, d_j = _rates(rec, (terms, terms1), tau_eff, cfg.solver, g)
 
         tol_used = ctrl.current_tol
         decision = decide(ctrl, tau_eff, a_j, d_j, ok)
@@ -227,11 +225,11 @@ def run(cfg: RunConfig) -> Trajectory:
         accumulate(est, int_a, int_d)
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
-        u, w, lap_u = u1, w1, lap_u1
+        u, w, lap_u, terms = u1, w1, lap_u1, terms1
         t = t_new
         times.append(t)
         energies.append(energy(u, w, g))
-        unit_k, orth_k = _check_constraints(t, u, w, cfg.solver.unit_tol)
+        unit_k, orth_k = _check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol)
         unit_dev = max(unit_dev, unit_k)
         orth_dev = max(orth_dev, orth_k)
         maybe_store(t, u, w)
@@ -249,12 +247,26 @@ def run(cfg: RunConfig) -> Trajectory:
     return traj
 
 
-def _check_constraints(t, u, w, unit_tol):
-    """(max||u|-1|, max|u.w|) of one state; raises ConstraintViolation when
-    either exceeds unit_tol, the orthogonality one scaled by max(1, max|w|)."""
+def _rates(rec, ends, tau, solver, g):
+    """(smallness holds, alpha_hat, delta_hat) of one solved attempt.
+
+    The local quantities and bound fields die with this call, so they are
+    not held through the next solve.
+    """
+    lb = local_quantities(rec, g, ends)
+    if not check_smallness(lb, tau):
+        return False, 0.0, 0.0
+    rbf = residual_bounds(lb, tau)
+    return True, alpha_hat(rbf, lb, tau, g), delta_hat(lb, tau, solver, g)
+
+
+def _check_constraints(t, u, w, mag_w, unit_tol):
+    """(max||u|-1|, max|u.w|) of one state with node-wise |w| = mag_w; raises
+    ConstraintViolation when either exceeds unit_tol, the orthogonality one
+    scaled by max(1, max|w|)."""
     unit_dev = gr.unit_deviation(u)
     orth_dev = gr.orthogonality_deviation(u, w)
-    orth_tol = unit_tol * max(1.0, float(gr.magnitude(w).max()))
+    orth_tol = unit_tol * max(1.0, float(mag_w.max()))
     if not (unit_dev <= unit_tol and orth_dev <= orth_tol):
         raise ConstraintViolation(
             f"at t={t!r}: max||u|-1| = {unit_dev:.3e}, max|u.w| = {orth_dev:.3e} "

@@ -70,6 +70,26 @@ def test_updated_tolerance_matches_accumulated_growth():
     assert ctrl.current_tol == pytest.approx(1e-6 * math.exp(acc), rel=1e-12)
 
 
+def test_updated_tolerance_saturates_instead_of_overflowing():
+    # 0.5 * tau * delta_hat = 1000: exp() of that overflows a float
+    ctrl = make(UPDATED_TOLERANCE, tol0=1.0)
+    d = decide(ctrl, 0.01, 0.5, 2e5, fp_converged=True)
+    assert d.accepted and d.tau_next == 0.01
+    assert ctrl.current_tol == math.inf
+
+
+def test_updated_tolerance_stays_infinite_and_accepts_later_steps():
+    ctrl = make(UPDATED_TOLERANCE, tol0=1.0, tau_max=2.0**-6)
+    ctrl.current_tol = math.inf
+    for delta in (10.0, 2e5):
+        d = decide(ctrl, 0.01, 1e6, delta, fp_converged=True)
+        assert d.accepted and d.tau_next == 0.01 * ctrl.grow
+        assert ctrl.current_tol == math.inf
+    # rejections for non-finite rates and failed solves still apply
+    assert not decide(ctrl, 0.01, math.inf, 10.0, fp_converged=True).accepted
+    assert not decide(ctrl, 0.01, 0.0, 10.0, fp_converged=False).accepted
+
+
 def test_step_floor_raises():
     ctrl = make(tau_min=2.0**-10)
     with pytest.raises(StepFloor):

@@ -11,6 +11,8 @@ from wavemaps import (EstimatorState, Grid2D, LocalBounds, SmallnessViolated,
                       check_smallness, delta_hat, local_quantities,
                       residual_bounds, step)
 from wavemaps import grid as gr
+from wavemaps import harness
+from wavemaps.estimator import endpoint_terms
 
 from conftest import (KAPPA, dominance_violations, random_state, record_suite,
                       scheme_record)
@@ -37,6 +39,49 @@ def test_local_quantities_time_constant_record():
                  "B_u", "B_u_x", "B_u_xx", "B_w", "B_w_x"):
         assert np.abs(getattr(lb, name)).max() == 0.0
     assert np.abs(lb.C_w - 0.6).max() < 1e-15
+
+
+def assert_same_local_bounds(a, b):
+    for f in dataclasses.fields(LocalBounds):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+
+
+def test_local_quantities_from_given_endpoint_terms_is_bitwise_equal():
+    rec = scheme_record(G, RNG, 0.01, CFG)
+    ends = (endpoint_terms(rec.u_n, rec.w_n, rec.lap_u_n, G),
+            endpoint_terms(rec.u_np1, rec.w_np1, rec.lap_u_np1, G))
+    lb = local_quantities(rec, G, ends)
+    assert_same_local_bounds(lb, local_quantities(rec, G))
+    mag, grad = gr.magnitude, gr.grad_magnitude
+    P = gr.cross(rec.u_np1, rec.w_np1) - gr.cross(rec.u_n, rec.w_n)
+    Q = gr.cross(rec.lap_u_np1, rec.u_np1) - gr.cross(rec.lap_u_n, rec.u_n)
+    want = {
+        "B_u": mag(P), "B_w": mag(Q),
+        "C_w": np.maximum(mag(rec.w_n), mag(rec.w_np1)),
+        "C_u_x": np.maximum(grad(rec.u_n, G), grad(rec.u_np1, G)),
+        "C_w_x": np.maximum(grad(rec.w_n, G), grad(rec.w_np1, G)),
+        "C_u_xx": np.maximum(mag(rec.lap_u_n), mag(rec.lap_u_np1)),
+    }
+    for name, value in want.items():
+        assert getattr(lb, name).tobytes() == value.tobytes(), name
+
+
+def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
+    seen = []
+
+    def checked(rec, g, ends=None):
+        lb = local_quantities(rec, g, ends)
+        assert ends is not None  # the run passes the terms it carries
+        assert_same_local_bounds(lb, local_quantities(rec, g))
+        seen.append(rec.t_n)
+        return lb
+
+    monkeypatch.setattr(harness, "local_quantities", checked)
+    tau = 2.0**-8
+    traj = harness.run(harness.RunConfig(M=16, mode="fixed", tau=tau, t_end=5 * tau))
+    assert seen == [k * tau for k in range(5)]
+    assert traj.n_accepted == 5
 
 
 def test_local_quantities_elementary_bounds():

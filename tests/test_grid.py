@@ -214,3 +214,121 @@ def test_read_field_rejects_garbage(tmp_path):
     path.write_bytes(b"not a field\n123")
     with pytest.raises(ValueError):
         read_field(path)
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against plain numpy reference versions
+
+
+def bitwise_equal(a, b):
+    """Same shape, dtype and bits: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def ref_pad(f):
+    return np.pad(f, ((1, 1), (1, 1)) + ((0, 0),) * (f.ndim - 2), mode="reflect")
+
+
+def ref_laplacian(f, g):
+    fp = ref_pad(f)
+    out = fp[2:, 1:-1] + fp[:-2, 1:-1] + fp[1:-1, 2:] + fp[1:-1, :-2] - 4.0 * f
+    out /= g.h * g.h
+    return out
+
+
+def ref_gradient(f, g):
+    fp = ref_pad(f)
+    s = 1.0 / (2.0 * g.h)
+    return (fp[2:, 1:-1] - fp[:-2, 1:-1]) * s, (fp[1:-1, 2:] - fp[1:-1, :-2]) * s
+
+
+def ref_gradient_sq(f, g):
+    fx, fy = ref_gradient(f, g)
+    sq = fx * fx + fy * fy
+    return sq.sum(axis=-1) if f.ndim == 3 else sq
+
+
+def signed_zero_field(rng, shape):
+    """Random values with a share of exact -0.0 and 0.0 entries."""
+    f = rng.normal(size=shape)
+    f[rng.random(shape) < 0.2] = -0.0
+    f[rng.random(shape) < 0.1] = 0.0
+    return f
+
+
+KERNEL_SIZES = (2, 3, 8, 33)
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+@pytest.mark.parametrize("vector", (False, True))
+def test_stencils_match_np_pad_reference_bitwise(M, vector):
+    g = Grid2D(M)
+    rng = np.random.default_rng(M)
+    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
+    assert bitwise_equal(laplacian(f, g), ref_laplacian(f, g))
+    for got, want in zip(gr.gradient(f, g), ref_gradient(f, g)):
+        assert bitwise_equal(got, want)
+    assert bitwise_equal(gradient_sq(f, g), ref_gradient_sq(f, g))
+    want_mag = np.sqrt((f * f).sum(axis=-1)) if vector else np.abs(f)
+    assert bitwise_equal(magnitude(f), want_mag)
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+def test_cross_and_dot_match_numpy_bitwise(M):
+    g = Grid2D(M)
+    rng = np.random.default_rng(100 + M)
+    a = signed_zero_field(rng, g.shape + (3,))
+    b = signed_zero_field(rng, g.shape + (3,))
+    for x, y in ((a, b), (b, a), (a, -a), (-a, a)):
+        assert bitwise_equal(cross(x, y), np.cross(x, y))
+        assert bitwise_equal(dot(x, y), (x * y).sum(axis=-1))
+    # an all -0.0 component sum is +0.0 in numpy's reduction
+    z = np.full((2, 2, 3), -0.0)
+    assert bitwise_equal(dot(z, np.ones((2, 2, 3))), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+def test_field_csv_bytes_match_per_node_loop(tmp_path, M):
+    g = Grid2D(M)
+    f = signed_zero_field(np.random.default_rng(200 + M), g.shape + (3,))
+    f[0, 0] = (1e-300, -np.inf, np.nan)
+    x = g.nodes()
+    want = ["x,y,u1,u2,u3\n"]
+    for i in range(g.M + 1):
+        for j in range(g.M + 1):
+            want.append("%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                        % (x[i], x[j], f[i, j, 0], f[i, j, 1], f[i, j, 2]))
+    path = tmp_path / "field.csv"
+    write_field_csv(path, f, g)
+    assert path.read_bytes() == "".join(want).encode("ascii")
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES + (128,))
+@pytest.mark.parametrize("vector", (False, True))
+def test_reductions_close_to_exact_sum_and_repeatable(M, vector):
+    g = Grid2D(M)
+    rng = np.random.default_rng(300 + M)
+    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
+    f *= np.exp(3.0 * rng.normal(size=f.shape))  # spread the magnitudes
+    wts = gr.trapezoid_weights(g)
+    hh = g.h * g.h
+
+    def check(fn, terms, scale):
+        got = fn()
+        exact = math.fsum(terms) * scale
+        assert abs(got - exact) <= 1e-14 * math.fsum(map(abs, terms)) * scale
+        assert fn() == got  # a fixed summation order: reruns agree exactly
+
+    s = f[..., 0] if vector else f
+    check(lambda: integrate(s, g), (wts * s).ravel().tolist(), hh)
+    w1 = wts[0] * 2.0  # 1 inside, 1/2 at both ends
+    sqx = np.diff(f, axis=0) ** 2
+    sqy = np.diff(f, axis=1) ** 2
+    if vector:
+        sqx, sqy = sqx.sum(axis=-1), sqy.sum(axis=-1)
+    edges = (sqx * w1[None, :]).ravel().tolist() + (sqy * w1[:, None]).ravel().tolist()
+    check(lambda: dirichlet_form(f, g), edges, 1.0)
+    m = magnitude(f)
+    for p in (1.0, 2.0, 4.0):
+        check(lambda p=p: lp_norm(f, p, g) ** p, (wts * m**p).ravel().tolist(), hh)
