@@ -54,6 +54,8 @@ class AdaptiveController:
             raise ValueError("need 0 < shrink < 1 < grow")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("need 0 < safety < 1")
+        if not self.tau_min > 0.0:
+            raise ValueError("tau_min must be positive")
         if self.tau_min > self.tau_max:
             raise ValueError("need tau_min <= tau_max")
         if self.tol0 <= 0.0:

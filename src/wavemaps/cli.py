@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 when the step controller hits its floor,
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, StepFloor
 from .harness import (ConfigError, RunConfig, run, run_eoc_study, write_eoc_csv)
@@ -77,52 +78,44 @@ def _merge(args) -> dict:
     return values
 
 
+# parsers of the config keys that are not plain numbers
+_PARSERS = {
+    "grid": int, "fp_max_iter": int, "mode": str, "strategy": str, "initial": str, "out": str,
+    "snapshots": lambda text: tuple(_parse_number(tok) for tok in text.split(",")),
+    "dump_residuals": lambda text: text.lower() in ("1", "true", "yes", "on"),
+}
+# config keys named differently from their RunConfig field
+_FIELD_NAMES = {"grid": "M", "tend": "t_end", "out": "out_dir", "snapshots": "snapshot_times"}
+
+
+def _given(values: dict, cls) -> dict:
+    """Keyword arguments of dataclass cls for the keys the user gave; the
+    fields left out keep the defaults cls defines."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, text in values.items():
+        name = _FIELD_NAMES.get(key, key)
+        if name in names:
+            kwargs[name] = _PARSERS.get(key, _parse_number)(text)
+    return kwargs
+
+
 def _solver_config(values: dict) -> SolverConfig:
-    return SolverConfig(
-        fp_tol=_parse_number(values.get("fp_tol", "1e-12")),
-        fp_max_iter=int(values.get("fp_max_iter", "200")),
-        unit_tol=_parse_number(values.get("unit_tol", "1e-9")),
-        c_q=_parse_number(values.get("c_q", "4.0")),
-        p_exp=_parse_number(values.get("p_exp", "4.0")),
-    )
+    return SolverConfig(**_given(values, SolverConfig))
 
 
 def _build_run_config(values: dict):
-    mode = values.get("mode", "fixed")
     strategy = values.get("strategy", EQUIDISTRIBUTE)
     if strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
         raise ConfigError(f"unknown strategy {strategy!r}")
-    controller = None
-    if mode == "adaptive":
-        default_tol0 = "1e-6" if strategy == UPDATED_TOLERANCE else "1e-4"
-        controller = AdaptiveController(
-            strategy=strategy,
-            tol0=_parse_number(values.get("tol0", default_tol0)),
-            grow=_parse_number(values.get("grow", "1.2")),
-            shrink=_parse_number(values.get("shrink", "0.5")),
-            safety=_parse_number(values.get("safety", "0.4")),
-            tau_min=_parse_number(values.get("tau_min", "2^-20")),
-            tau_max=_parse_number(values.get("tau_max", "2^-6")),
-        )
-    snapshots = None
-    if "snapshots" in values:
-        snapshots = tuple(_parse_number(tok) for tok in values["snapshots"].split(","))
-    dump_residuals = values.get("dump_residuals", "false").lower() in ("1", "true", "yes", "on")
-    default_tau = "2^-9" if mode == "fixed" else "2^-10"
-    return RunConfig(
-        M=int(values.get("grid", "32")),
-        mode=mode,
-        tau=_parse_number(values.get("tau", default_tau)),
-        t_end=_parse_number(values.get("tend", "0.2")),
-        solver=_solver_config(values),
-        controller=controller,
-        b0=_parse_number(values.get("b0", "0.0")),
-        initial=values.get("initial", "problem"),
-        tau_min=_parse_number(values.get("tau_min", "2^-20")),
-        out_dir=values.get("out"),
-        snapshot_times=snapshots,
-        dump_residuals=dump_residuals,
-    )
+    run_kw = _given(values, RunConfig)
+    if values.get("mode") == "adaptive":
+        ctrl_kw = _given(values, AdaptiveController)
+        if strategy == UPDATED_TOLERANCE:
+            ctrl_kw.setdefault("tol0", 1e-6)
+        run_kw["controller"] = AdaptiveController(**ctrl_kw)
+        run_kw.setdefault("tau", 2.0**-10)
+    return RunConfig(solver=_solver_config(values), **run_kw)
 
 
 def main(argv=None) -> int:

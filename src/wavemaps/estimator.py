@@ -10,11 +10,12 @@ From one StepRecord the node-wise quantities
 
 are assembled with the grid module's centered/5-point operators.  The
 factors that depend on one state alone (u x w, lap u x u, |w|, |grad u|,
-|grad w|, |lap u|) are its EndpointTerms; a run computes them once per
-accepted state and uses them on both intervals that state bounds.  Under
-the smallness condition A_u^2 + tau * B_u < 1/4 they yield point-wise
-upper bounds for each residual part of the reconstruction, valid
-uniformly on the interval.  The bounds feed two scalar rates:
+|grad w|, |lap u|) are read from the record's EndpointTerms, so a run
+computes them once per accepted state and uses them on both intervals
+that state bounds.  Under the smallness condition A_u^2 + tau * B_u < 1/4
+they yield point-wise upper bounds for each residual part of the
+reconstruction, valid uniformly on the interval.  The bounds feed two
+scalar rates:
 
     alpha_hat = ||bd_rg + bd_ru * W + bd_rw||_2 + ||bd_ru||_2 + ||bd_grad_ru||_2
     delta_hat = 1 + c_q ||G^2 + W^2||_p + 2 c_q ||W||_2p^2
@@ -85,49 +86,12 @@ class ResidualBoundFields:
         return self.bd_grad_ru1 + self.bd_grad_ru2 + self.bd_grad_ru3
 
 
-@dataclass
-class EndpointTerms:
-    """The factors of the local quantities that depend on one state alone.
-
-    Each accepted state is the end of one interval and the start of the
-    next, so a run computes these once per state and passes them on.
-    """
-
-    u_x_w: np.ndarray  # u x w
-    lap_u_x_u: np.ndarray  # lap u x u
-    mag_w: np.ndarray  # |w|
-    grad_u: np.ndarray  # |grad u|
-    grad_w: np.ndarray  # |grad w|
-    mag_lap_u: np.ndarray  # |lap u|
-
-
-def endpoint_terms(u, w, lap_u, g: Grid2D) -> EndpointTerms:
-    """Per-state terms of one endpoint (u, w) with its Laplacian lap_u."""
-    return EndpointTerms(
-        u_x_w=gr.cross(u, w),
-        lap_u_x_u=gr.cross(lap_u, u),
-        mag_w=gr.magnitude(w),
-        grad_u=gr.grad_magnitude(u, g),
-        grad_w=gr.grad_magnitude(w, g),
-        mag_lap_u=gr.magnitude(lap_u),
-    )
-
-
-def local_quantities(rec: StepRecord, g: Grid2D,
-                     ends: tuple[EndpointTerms, EndpointTerms] | None = None
-                     ) -> LocalBounds:
-    """Assemble every node-wise quantity entering the residual bounds.
-
-    ``ends`` holds the endpoint terms of (u_n, w_n) and (u_np1, w_np1);
-    both are computed here when it is not given.
-    """
-    if ends is None:
-        ends = (endpoint_terms(rec.u_n, rec.w_n, rec.lap_u_n, g),
-                endpoint_terms(rec.u_np1, rec.w_np1, rec.lap_u_np1, g))
-    e0, e1 = ends
+def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
+    """Assemble every node-wise quantity entering the residual bounds."""
+    e0, e1 = rec.ends
     du = rec.u_np1 - rec.u_n
     dw = rec.w_np1 - rec.w_n
-    dlap = rec.lap_u_np1 - rec.lap_u_n
+    dlap = e1.lap_u - e0.lap_u
     P = e1.u_x_w - e0.u_x_w
     Q = e1.lap_u_x_u - e0.lap_u_x_u
     return LocalBounds(

@@ -224,8 +224,12 @@ def read_field(path) -> np.ndarray:
         if not header.startswith(_HEADER_PREFIX):
             raise ValueError(f"not a field dump: {header!r}")
         fields = dict(tok.split("=") for tok in header.split()[2:])
+        if "M" not in fields or "comps" not in fields:
+            raise ValueError(f"field dump header lacks M or comps: {header!r}")
         m = int(fields["M"])
         comps = int(fields["comps"])
+        if m < 0:
+            raise ValueError(f"negative grid size M={m}")
         if comps != 3:
             raise ValueError(f"unsupported component count {comps}")
         data = np.frombuffer(fh.read(), dtype="<f8")

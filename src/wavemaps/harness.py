@@ -9,8 +9,9 @@ every step that can be evaluated, never grow, and halve when the nonlinear
 solve fails to converge or the smallness condition breaks.  The initial
 state and every accepted state must meet the unit-length and
 orthogonality constraints to ``SolverConfig.unit_tol``, which the
-residual bounds assume.  Each accepted state's Laplacian and estimator
-endpoint terms are computed once and carried to the next interval.
+residual bounds assume.  Each state's EndpointTerms (its Laplacian and
+the per-state factors of the bounds) are computed once, when the state
+is solved, and carried to the next interval in its StepRecord.
 
 Reference comparisons measure, over the times shared by two trajectories
 on the same grid,
@@ -33,10 +34,10 @@ import numpy as np
 from . import grid as gr
 from .adapt import FIXED, AdaptiveController, decide
 from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
-                        delta_hat, endpoint_terms, local_quantities, residual_bounds)
+                        delta_hat, local_quantities, residual_bounds)
 from .grid import Grid2D
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
-                     energy, initial_data, rotation_data, step)
+                     endpoint_terms, energy, initial_data, rotation_data, step)
 
 _TIME_ATOL = 2.0**-40
 
@@ -140,8 +141,7 @@ def run(cfg: RunConfig) -> Trajectory:
     """Drive one full simulation; returns the trajectory with all diagnostics."""
     g = Grid2D(cfg.M)
     u, w = _initial_state(cfg, g)
-    lap_u = gr.laplacian(u, g)
-    terms = endpoint_terms(u, w, lap_u, g)  # carried forward like lap_u
+    terms = endpoint_terms(u, w, g)  # carried forward with the state
     est = EstimatorState(b0=cfg.b0)
     ctrl = replace(cfg.controller)  # the run's tolerance updates stay local
 
@@ -197,11 +197,10 @@ def run(cfg: RunConfig) -> Trajectory:
         except NonConvergence:
             pass
         else:
-            lap_u1 = gr.laplacian(u1, g)
-            terms1 = endpoint_terms(u1, w1, lap_u1, g)
+            terms1 = endpoint_terms(u1, w1, g)
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
-                             w_n=w, w_np1=w1, lap_u_n=lap_u, lap_u_np1=lap_u1)
-            ok, a_j, d_j = _rates(rec, (terms, terms1), tau_eff, cfg.solver, g)
+                             w_n=w, w_np1=w1, ends=(terms, terms1))
+            ok, a_j, d_j = _rates(rec, tau_eff, cfg.solver, g)
 
         tol_used = ctrl.current_tol
         decision = decide(ctrl, tau_eff, a_j, d_j, ok)
@@ -225,7 +224,7 @@ def run(cfg: RunConfig) -> Trajectory:
         accumulate(est, int_a, int_d)
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
-        u, w, lap_u, terms = u1, w1, lap_u1, terms1
+        u, w, terms = u1, w1, terms1
         t = t_new
         times.append(t)
         energies.append(energy(u, w, g))
@@ -247,13 +246,13 @@ def run(cfg: RunConfig) -> Trajectory:
     return traj
 
 
-def _rates(rec, ends, tau, solver, g):
+def _rates(rec, tau, solver, g):
     """(smallness holds, alpha_hat, delta_hat) of one solved attempt.
 
     The local quantities and bound fields die with this call, so they are
     not held through the next solve.
     """
-    lb = local_quantities(rec, g, ends)
+    lb = local_quantities(rec, g)
     if not check_smallness(lb, tau):
         return False, 0.0, 0.0
     rbf = residual_bounds(lb, tau)

@@ -15,7 +15,8 @@ continuous, and satisfy exactly
 
 with I1 the linear interpolant of endpoint values and the midpoint defects
 a_u = 1/4 (u1 - u0) x (w1 - w0), a_w = 1/4 (lap u1 - lap u0) x (u1 - u0).
-The sphere-valued reconstruction is utilde = ustar / |ustar|.
+The sphere-valued reconstruction is utilde = ustar / |ustar|.  lap u and
+the endpoint products u x w, lap(u) x u come from the record's ``ends``.
 
 The residual fields returned by eval_residuals carry the signs that make
 
@@ -61,28 +62,28 @@ class ResidualSample:
 
 def a_terms(rec: StepRecord):
     """Midpoint defect fields (a_u, a_w) of the rewritten scheme."""
+    e0, e1 = rec.ends
     du = rec.u_np1 - rec.u_n
     dw = rec.w_np1 - rec.w_n
-    dlap = rec.lap_u_np1 - rec.lap_u_n
+    dlap = e1.lap_u - e0.lap_u
     return 0.25 * gr.cross(du, dw), 0.25 * gr.cross(dlap, du)
 
 
 def _reconstruct(rec: StepRecord, t: float):
-    """(ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1)) at time t.
+    """(ustar, wtilde, l1, du, P, Q) at time t.
 
-    l1 is the linear interpolation weight, du = u1 - u0, uw and lu are the
-    endpoint products u x w and lap(u) x u.
+    l1 is the linear interpolation weight, du = u1 - u0, and P, Q are the
+    endpoint differences of u x w and lap(u) x u.
     """
+    e0, e1 = rec.ends
     l1 = (t - rec.t_n) / rec.tau
     du = rec.u_np1 - rec.u_n
-    uw0 = gr.cross(rec.u_n, rec.w_n)
-    uw1 = gr.cross(rec.u_np1, rec.w_np1)
-    lu0 = gr.cross(rec.lap_u_n, rec.u_n)
-    lu1 = gr.cross(rec.lap_u_np1, rec.u_np1)
+    P = e1.u_x_w - e0.u_x_w
+    Q = e1.lap_u_x_u - e0.lap_u_x_u
     b = 0.5 * ((t - rec.t_n) * (rec.t_np1 - t) / rec.tau)  # half the interval bubble
-    ustar = rec.u_n + l1 * du - b * (uw1 - uw0)
-    wtilde = rec.w_n + l1 * (rec.w_np1 - rec.w_n) - b * (lu1 - lu0)
-    return ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1)
+    ustar = rec.u_n + l1 * du - b * P
+    wtilde = rec.w_n + l1 * (rec.w_np1 - rec.w_n) - b * Q
+    return ustar, wtilde, l1, du, P, Q
 
 
 def _normalize(ustar: np.ndarray, t: float):
@@ -109,21 +110,22 @@ def eval_residuals(rec: StepRecord, t: float) -> ResidualSample:
         raise ValueError(f"sample time {t} not inside ({rec.t_n}, {rec.t_np1})")
     g = rec.grid
     tau = rec.tau
-    ustar, wtilde, l1, du, (uw0, uw1), (lu0, lu1) = _reconstruct(rec, t)
+    e0 = rec.ends[0]
+    ustar, wtilde, l1, du, P, Q = _reconstruct(rec, t)
     utilde, norm = _normalize(ustar, t)
     a_u, a_w = a_terms(rec)
 
     # d/dt of the quadratic: linear slope minus bubble-rate times the defect
-    dustar = du / tau - 0.5 * ((rec.t_n + rec.t_np1 - 2.0 * t) / tau) * (uw1 - uw0)
+    dustar = du / tau - 0.5 * ((rec.t_n + rec.t_np1 - 2.0 * t) / tau) * P
     proj = gr.dot(ustar, dustar) / norm**3
     dutilde = dustar / norm[..., None] - proj[..., None] * ustar
 
-    r_u1 = uw0 + l1 * (uw1 - uw0) - gr.cross(utilde, wtilde)
+    r_u1 = e0.u_x_w + l1 * P - gr.cross(utilde, wtilde)
     r_u2 = -a_u
     r_u3 = dutilde - dustar
 
     lap_utilde = gr.laplacian(utilde, g)
-    r_w = lu0 + l1 * (lu1 - lu0) - gr.cross(lap_utilde, utilde) - a_w
+    r_w = e0.lap_u_x_u + l1 * Q - gr.cross(lap_utilde, utilde) - a_w
 
     s = gr.dot(utilde, wtilde)
     r_g = s[..., None] * wtilde - (s * s)[..., None] * utilde

@@ -14,6 +14,10 @@ and conserves the discrete energy
 where the gradient part is the edge-based Dirichlet sum that pairs with
 the mirror-ghost Laplacian (see grid.dirichlet_form).  Those invariants
 hold up to the stopping tolerance of the iteration.
+
+A StepRecord owns its two endpoint states' EndpointTerms (lap u, u x w,
+lap u x u and magnitudes); the estimator, the reconstruction and the
+step loop all read them from ``rec.ends``.
 """
 
 import math
@@ -64,12 +68,42 @@ class SolverConfig:
 
 
 @dataclass
+class EndpointTerms:
+    """Per-state factors of the reconstruction and the residual bounds; a
+    run computes them once per state, which ends one interval and starts
+    the next."""
+
+    lap_u: np.ndarray  # lap u
+    u_x_w: np.ndarray  # u x w
+    lap_u_x_u: np.ndarray  # lap u x u
+    mag_w: np.ndarray  # |w|
+    grad_u: np.ndarray  # |grad u|
+    grad_w: np.ndarray  # |grad w|
+    mag_lap_u: np.ndarray  # |lap u|
+
+
+def endpoint_terms(u, w, g: Grid2D) -> EndpointTerms:
+    """Per-state terms of one endpoint (u, w)."""
+    lap_u = gr.laplacian(u, g)
+    return EndpointTerms(
+        lap_u=lap_u,
+        u_x_w=gr.cross(u, w),
+        lap_u_x_u=gr.cross(lap_u, u),
+        mag_w=gr.magnitude(w),
+        grad_u=gr.grad_magnitude(u, g),
+        grad_w=gr.grad_magnitude(w, g),
+        mag_lap_u=gr.magnitude(lap_u),
+    )
+
+
+@dataclass
 class StepRecord:
     """Endpoint data of one accepted time interval.
 
     Everything downstream (reconstruction, residual sampling, bound
-    evaluation) works from this record alone.  The endpoint Laplacians
-    are cached because they are reused many times.
+    evaluation) works from this record alone.  ``ends`` holds the
+    EndpointTerms of (u_n, w_n) and (u_np1, w_np1); they are computed
+    here unless the caller passes the ones it already has.
     """
 
     grid: Grid2D
@@ -79,16 +113,14 @@ class StepRecord:
     u_np1: np.ndarray
     w_n: np.ndarray
     w_np1: np.ndarray
-    lap_u_n: np.ndarray = field(repr=False, default=None)
-    lap_u_np1: np.ndarray = field(repr=False, default=None)
+    ends: tuple[EndpointTerms, EndpointTerms] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if not self.t_np1 > self.t_n:
             raise ValueError(f"need t_np1 > t_n, got [{self.t_n}, {self.t_np1}]")
-        if self.lap_u_n is None:
-            self.lap_u_n = gr.laplacian(self.u_n, self.grid)
-        if self.lap_u_np1 is None:
-            self.lap_u_np1 = gr.laplacian(self.u_np1, self.grid)
+        if self.ends is None:
+            self.ends = (endpoint_terms(self.u_n, self.w_n, self.grid),
+                         endpoint_terms(self.u_np1, self.w_np1, self.grid))
 
     @property
     def tau(self) -> float:

@@ -139,4 +139,6 @@ def test_controller_validation():
     with pytest.raises(ValueError):
         AdaptiveController(tau_min=1.0, tau_max=0.5)
     with pytest.raises(ValueError):
+        AdaptiveController(tau_min=0.0)  # the run loop would end up stepping by 0
+    with pytest.raises(ValueError):
         AdaptiveController(tol0=0.0)

@@ -12,7 +12,7 @@ from wavemaps import (EstimatorState, Grid2D, LocalBounds, SmallnessViolated,
                       residual_bounds, step)
 from wavemaps import grid as gr
 from wavemaps import harness
-from wavemaps.estimator import endpoint_terms
+from wavemaps.scheme import endpoint_terms
 
 from conftest import (KAPPA, dominance_violations, random_state, record_suite,
                       scheme_record)
@@ -48,20 +48,24 @@ def assert_same_local_bounds(a, b):
 
 
 def test_local_quantities_from_given_endpoint_terms_is_bitwise_equal():
-    rec = scheme_record(G, RNG, 0.01, CFG)
-    ends = (endpoint_terms(rec.u_n, rec.w_n, rec.lap_u_n, G),
-            endpoint_terms(rec.u_np1, rec.w_np1, rec.lap_u_np1, G))
-    lb = local_quantities(rec, G, ends)
-    assert_same_local_bounds(lb, local_quantities(rec, G))
+    # the next record starts from the terms the previous one ended with
+    prev = scheme_record(G, RNG, 0.01, CFG)
+    u2, w2, _ = step(prev.u_np1, prev.w_np1, 0.01, CFG, G)
+    rec = StepRecord(grid=G, t_n=prev.t_np1, t_np1=prev.t_np1 + 0.01, u_n=prev.u_np1,
+                     u_np1=u2, w_n=prev.w_np1, w_np1=w2,
+                     ends=(prev.ends[1], endpoint_terms(u2, w2, G)))
+    lb = local_quantities(rec, G)
+    assert_same_local_bounds(lb, local_quantities(dataclasses.replace(rec, ends=None), G))
     mag, grad = gr.magnitude, gr.grad_magnitude
+    lap_n, lap_np1 = gr.laplacian(rec.u_n, G), gr.laplacian(rec.u_np1, G)
     P = gr.cross(rec.u_np1, rec.w_np1) - gr.cross(rec.u_n, rec.w_n)
-    Q = gr.cross(rec.lap_u_np1, rec.u_np1) - gr.cross(rec.lap_u_n, rec.u_n)
+    Q = gr.cross(lap_np1, rec.u_np1) - gr.cross(lap_n, rec.u_n)
     want = {
         "B_u": mag(P), "B_w": mag(Q),
         "C_w": np.maximum(mag(rec.w_n), mag(rec.w_np1)),
         "C_u_x": np.maximum(grad(rec.u_n, G), grad(rec.u_np1, G)),
         "C_w_x": np.maximum(grad(rec.w_n, G), grad(rec.w_np1, G)),
-        "C_u_xx": np.maximum(mag(rec.lap_u_n), mag(rec.lap_u_np1)),
+        "C_u_xx": np.maximum(mag(lap_n), mag(lap_np1)),
     }
     for name, value in want.items():
         assert getattr(lb, name).tobytes() == value.tobytes(), name
@@ -70,10 +74,10 @@ def test_local_quantities_from_given_endpoint_terms_is_bitwise_equal():
 def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
     seen = []
 
-    def checked(rec, g, ends=None):
-        lb = local_quantities(rec, g, ends)
-        assert ends is not None  # the run passes the terms it carries
-        assert_same_local_bounds(lb, local_quantities(rec, g))
+    def checked(rec, g):
+        lb = local_quantities(rec, g)
+        fresh = dataclasses.replace(rec, ends=None)
+        assert_same_local_bounds(lb, local_quantities(fresh, g))
         seen.append(rec.t_n)
         return lb
 

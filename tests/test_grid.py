@@ -216,6 +216,15 @@ def test_read_field_rejects_garbage(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("header", [b"WMFIELD v1 comps=3", b"WMFIELD v1 M=2",
+                                    b"WMFIELD v1 M=-1 comps=3"])
+def test_read_field_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.wmf"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
 # ---------------------------------------------------------------------------
 # the fast kernels against plain numpy reference versions
 

@@ -277,6 +277,8 @@ def test_run_config_validation():
         RunConfig(initial="vortex")
     with pytest.raises(ConfigError):
         RunConfig(tau=0.0)
+    with pytest.raises(ValueError):  # fixed mode's controller takes its floor
+        RunConfig(mode="fixed", tau_min=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +334,15 @@ def test_cli_rejects_fixed_strategy(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_cli_rejects_nonpositive_tau_min(tmp_path, capsys, mode):
+    cfgfile = tmp_path / "floor.cfg"
+    cfgfile.write_text(f"grid = 8\nmode = {mode}\ntau_min = -1\ntend = 0.01\n")
+    rc = cli.main(["--config", str(cfgfile)])
+    assert rc == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
     def failing_run(cfg):
         raise ValueError("boom")
@@ -353,7 +364,17 @@ def test_cli_eoc_mode(tmp_path, capsys):
     lines = (out / "eoc.csv").read_text().splitlines()
     assert lines[0] == "tau,err_w,eoc_w,err_gu,eoc_gu"
     assert len(lines) == 3
-    assert "eoc_w" in capsys.readouterr().out or True
+    assert "eoc_w" in capsys.readouterr().out
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    assert cli._build_run_config({}) == RunConfig()
+    assert cli._build_run_config({"mode": "adaptive"}) == RunConfig(mode="adaptive",
+                                                                    tau=2.0**-10)
+    # the two defaults only the command line sets
+    updated = cli._build_run_config({"mode": "adaptive", "strategy": "updated"})
+    assert updated.controller == AdaptiveController(strategy="updated", tol0=1e-6)
+    assert updated.tau == 2.0**-10
 
 
 def test_cli_dyadic_number_parser():

@@ -54,7 +54,7 @@ def test_a_terms_definition_and_cross_norm_bound():
     dw = rec.w_np1 - rec.w_n
     a_u, a_w = a_terms(rec)
     assert np.array_equal(a_u, 0.25 * gr.cross(du, dw))
-    assert np.array_equal(a_w, 0.25 * gr.cross(rec.lap_u_np1 - rec.lap_u_n, du))
+    assert np.array_equal(a_w, 0.25 * gr.cross(rec.ends[1].lap_u - rec.ends[0].lap_u, du))
     bound = 0.25 * gr.magnitude(du) * gr.magnitude(dw)
     assert np.all(gr.magnitude(a_u) <= bound + 1e-15)
     # equality when the differences are orthogonal
@@ -73,7 +73,7 @@ def test_midpoint_correction_magnitude():
     uhat = 0.5 * (rec.u_n + rec.u_np1)
     what = 0.5 * (rec.w_n + rec.w_np1)
     P = gr.cross(rec.u_np1, rec.w_np1) - gr.cross(rec.u_n, rec.w_n)
-    Q = gr.cross(rec.lap_u_np1, rec.u_np1) - gr.cross(rec.lap_u_n, rec.u_n)
+    Q = gr.cross(rec.ends[1].lap_u, rec.u_np1) - gr.cross(rec.ends[0].lap_u, rec.u_n)
     assert np.abs(gr.magnitude(us - uhat) - rec.tau / 8.0 * gr.magnitude(P)).max() < 1e-15
     assert np.abs(gr.magnitude(wt - what) - rec.tau / 8.0 * gr.magnitude(Q)).max() < 1e-12
 
@@ -185,3 +185,43 @@ def test_grad_r_u_matches_parts():
     s = eval_residuals(rec, rec.t_n + 0.4 * rec.tau)
     direct = gr.grad_magnitude(s.r_u1 + s.r_u2 + s.r_u3, G)
     assert np.array_equal(s.grad_r_u, direct)
+
+
+def _residuals_from_fresh_products(rec, t):
+    """Reference residuals that rebuild lap u and the four endpoint products
+    u x w, lap(u) x u at both ends with gr.cross, in the same operation order
+    as eval_residuals."""
+    g, tau = rec.grid, rec.tau
+    lap0, lap1 = gr.laplacian(rec.u_n, g), gr.laplacian(rec.u_np1, g)
+    uw0, uw1 = gr.cross(rec.u_n, rec.w_n), gr.cross(rec.u_np1, rec.w_np1)
+    lu0, lu1 = gr.cross(lap0, rec.u_n), gr.cross(lap1, rec.u_np1)
+    l1 = (t - rec.t_n) / tau
+    du = rec.u_np1 - rec.u_n
+    dw = rec.w_np1 - rec.w_n
+    b = 0.5 * ((t - rec.t_n) * (rec.t_np1 - t) / tau)
+    ustar = rec.u_n + l1 * du - b * (uw1 - uw0)
+    wtilde = rec.w_n + l1 * dw - b * (lu1 - lu0)
+    norm = gr.magnitude(ustar)
+    utilde = ustar / norm[..., None]
+    a_u, a_w = 0.25 * gr.cross(du, dw), 0.25 * gr.cross(lap1 - lap0, du)
+    dustar = du / tau - 0.5 * ((rec.t_n + rec.t_np1 - 2.0 * t) / tau) * (uw1 - uw0)
+    proj = gr.dot(ustar, dustar) / norm**3
+    dutilde = dustar / norm[..., None] - proj[..., None] * ustar
+    r_u1 = uw0 + l1 * (uw1 - uw0) - gr.cross(utilde, wtilde)
+    r_u2 = -a_u
+    r_u3 = dutilde - dustar
+    r_w = lu0 + l1 * (lu1 - lu0) - gr.cross(gr.laplacian(utilde, g), utilde) - a_w
+    s = gr.dot(utilde, wtilde)
+    r_g = s[..., None] * wtilde - (s * s)[..., None] * utilde
+    return {"r_u1": r_u1, "r_u2": r_u2, "r_u3": r_u3, "r_w": r_w, "r_g": r_g,
+            "grad_r_u": gr.grad_magnitude(r_u1 + r_u2 + r_u3, g)}
+
+
+def test_eval_residuals_bitwise_equal_to_fresh_endpoint_products():
+    rec = scheme_record(G, np.random.default_rng(7), 0.02, CFG)
+    for frac in (0.3, 0.5):
+        t = rec.t_n + frac * rec.tau
+        s = eval_residuals(rec, t)
+        for name, want in _residuals_from_fresh_products(rec, t).items():
+            got = getattr(s, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

@@ -142,7 +142,7 @@ def test_step_record_caches_and_validates():
     u0, w0 = random_state(g, rng)
     u1, w1, _ = step(u0, w0, 0.01, SolverConfig(), g)
     rec = StepRecord(grid=g, t_n=0.0, t_np1=0.01, u_n=u0, u_np1=u1, w_n=w0, w_np1=w1)
-    assert np.array_equal(rec.lap_u_n, laplacian(u0, g))
+    assert np.array_equal(rec.ends[0].lap_u, laplacian(u0, g))
     assert rec.tau == 0.01
     with pytest.raises(ValueError):
         StepRecord(grid=g, t_n=0.5, t_np1=0.5, u_n=u0, u_np1=u1, w_n=w0, w_np1=w1)
