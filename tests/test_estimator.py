@@ -72,13 +72,14 @@ def test_local_quantities_from_given_endpoint_terms_is_bitwise_equal():
 
 
 def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
-    seen = []
+    seen, ends = [], []
 
     def checked(rec, g):
         lb = local_quantities(rec, g)
         fresh = dataclasses.replace(rec, ends=None)
         assert_same_local_bounds(lb, local_quantities(fresh, g))
         seen.append(rec.t_n)
+        ends.append(rec.ends)
         return lb
 
     monkeypatch.setattr(harness, "local_quantities", checked)
@@ -86,6 +87,9 @@ def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
     traj = harness.run(harness.RunConfig(M=16, mode="fixed", tau=tau, t_end=5 * tau))
     assert seen == [k * tau for k in range(5)]
     assert traj.n_accepted == 5
+    # each record starts from the very terms object the previous one ended with
+    for k in range(1, len(ends)):
+        assert ends[k][0] is ends[k - 1][1], k
 
 
 def test_local_quantities_elementary_bounds():
