@@ -16,6 +16,10 @@ step whatever its density and never grow the step.
 A non-converged nonlinear solve, a failed smallness condition, or a rate
 that is not finite always forces a rejection with the shrink factor,
 independent of the strategy and the tolerance.
+
+The controller holds settings only.  The running tolerance is state of
+one run: the caller passes it to ``decide`` and carries ``tol_next``
+forward.  The step floor is the run's ``RunConfig.tau_min``.
 """
 
 import math
@@ -26,26 +30,21 @@ UPDATED_TOLERANCE = "updated"
 FIXED = "fixed"
 
 
-class StepFloor(Exception):
-    """A rejection would push tau below tau_min; the run cannot continue."""
-
-
 @dataclass(frozen=True)
 class Decision:
     accepted: bool
     tau_next: float  # next step size (accept) or retry step size (reject)
+    tol_next: float  # tolerance for the next attempt
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveController:
     strategy: str = EQUIDISTRIBUTE
-    tol0: float = 1e-4
+    tol0: float = 1e-4  # tolerance of a run's first attempt
     grow: float = 1.2
     shrink: float = 0.5
     safety: float = 0.4
-    tau_min: float = 2.0**-20
     tau_max: float = 2.0**-6
-    current_tol: float = None
 
     def __post_init__(self):
         if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED):
@@ -54,46 +53,36 @@ class AdaptiveController:
             raise ValueError("need 0 < shrink < 1 < grow")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("need 0 < safety < 1")
-        if not self.tau_min > 0.0:
-            raise ValueError("tau_min must be positive")
-        if self.tau_min > self.tau_max:
-            raise ValueError("need tau_min <= tau_max")
+        if not self.tau_max > 0.0:
+            raise ValueError("tau_max must be positive")
         if self.tol0 <= 0.0:
             raise ValueError("tol0 must be positive")
-        if self.current_tol is None:
-            self.current_tol = self.tol0
 
 
 def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
-           delta_hat_j: float, fp_converged: bool) -> Decision:
-    """Accept/reject the step just computed and propose the next step size.
+           delta_hat_j: float, fp_converged: bool, tol: float) -> Decision:
+    """Accept/reject the step just computed under tolerance ``tol`` and
+    propose the next step size and tolerance.
 
     ``fp_converged`` is False when the step cannot be evaluated: the
     nonlinear solve failed or the smallness condition broke.  The density
     compared against the tolerance is alpha_hat itself, since the interval
     integral of the bound is exactly tau * alpha_hat.  Under the updated
-    strategy an accept also grows the current tolerance.
+    strategy an accept also grows the tolerance.
     """
     if not (fp_converged and math.isfinite(alpha_hat_j) and math.isfinite(delta_hat_j)):
-        return _reject(ctrl, tau)
+        return Decision(accepted=False, tau_next=tau * ctrl.shrink, tol_next=tol)
     if ctrl.strategy == FIXED:
-        return Decision(accepted=True, tau_next=tau)
+        return Decision(accepted=True, tau_next=tau, tol_next=tol)
     density = alpha_hat_j
-    if density > ctrl.current_tol:
-        return _reject(ctrl, tau)
-    if density < ctrl.safety * ctrl.current_tol:
+    if density > tol:
+        return Decision(accepted=False, tau_next=tau * ctrl.shrink, tol_next=tol)
+    if density < ctrl.safety * tol:
         tau_next = min(tau * ctrl.grow, ctrl.tau_max)
     else:
         tau_next = tau
     if ctrl.strategy == UPDATED_TOLERANCE:
         half_int_delta = 0.5 * tau * delta_hat_j
         # saturate at inf like the bound's own growth factor (exp overflows past ~709.8)
-        ctrl.current_tol *= math.exp(half_int_delta) if half_int_delta < 708.0 else math.inf
-    return Decision(accepted=True, tau_next=tau_next)
-
-
-def _reject(ctrl: AdaptiveController, tau: float) -> Decision:
-    tau_retry = tau * ctrl.shrink
-    if tau_retry < ctrl.tau_min:
-        raise StepFloor(f"retry step {tau_retry:.3e} below tau_min {ctrl.tau_min:.3e}")
-    return Decision(accepted=False, tau_next=tau_retry)
+        tol *= math.exp(half_int_delta) if half_int_delta < 708.0 else math.inf
+    return Decision(accepted=True, tau_next=tau_next, tol_next=tol)

@@ -14,8 +14,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, StepFloor
-from .harness import (ConfigError, RunConfig, run, run_eoc_study, write_eoc_csv)
+from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController
+from .harness import ConfigError, RunConfig, StepFloor, run, run_eoc_study, write_eoc_csv
 from .scheme import SolverConfig
 
 _CONFIG_KEYS = {
@@ -71,9 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge(args) -> dict:
     values = load_config_file(args.config) if args.config else {}
-    for key in ("out", "mode", "tau", "grid", "tend", "strategy", "tol0"):
-        v = getattr(args, key)
-        if v is not None:
+    for key, v in vars(args).items():
+        if key != "config" and v is not None:
             values[key] = str(v)
     return values
 
@@ -100,10 +99,6 @@ def _given(values: dict, cls) -> dict:
     return kwargs
 
 
-def _solver_config(values: dict) -> SolverConfig:
-    return SolverConfig(**_given(values, SolverConfig))
-
-
 def _build_run_config(values: dict):
     strategy = values.get("strategy", EQUIDISTRIBUTE)
     if strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
@@ -115,40 +110,36 @@ def _build_run_config(values: dict):
             ctrl_kw.setdefault("tol0", 1e-6)
         run_kw["controller"] = AdaptiveController(**ctrl_kw)
         run_kw.setdefault("tau", 2.0**-10)
-    return RunConfig(solver=_solver_config(values), **run_kw)
+    return RunConfig(solver=SolverConfig(**_given(values, SolverConfig)), **run_kw)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = _merge(args)
-        eoc_mode = values.get("mode", "fixed") == "eoc"
+        eoc_mode = values.get("mode") == "eoc"
+        # eoc mode validates its run keys as the fixed runs of the study
+        cfg = _build_run_config({**values, "mode": "fixed"} if eoc_mode else values)
         if eoc_mode:
-            taus = values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")
-            study = dict(M=int(values.get("grid", "32")),
-                         taus=[_parse_number(tok) for tok in taus],
-                         tau_ref=_parse_number(values.get("tau_ref", "2^-13")),
-                         t_end=_parse_number(values.get("tend", "0.2")),
-                         solver=_solver_config(values),
-                         initial=values.get("initial", "problem"))
-        else:
-            cfg = _build_run_config(values)
+            taus = [_parse_number(tok)
+                    for tok in values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")]
+            tau_ref = _parse_number(values.get("tau_ref", "2^-13"))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     try:
         if eoc_mode:
-            rows = run_eoc_study(**study)
+            rows = run_eoc_study(cfg.M, taus, tau_ref, cfg.t_end, solver=cfg.solver,
+                                 initial=cfg.initial)
             print(f"{'tau':>12} {'err_w':>12} {'eoc_w':>7} {'err_gu':>12} {'eoc_gu':>7}")
             for tau, err_w, eoc_w, err_gu, eoc_gu in rows:
                 print(f"{tau:12.6g} {err_w:12.4e} "
                       f"{'---' if eoc_w is None else format(eoc_w, '7.2f')} "
                       f"{err_gu:12.4e} "
                       f"{'---' if eoc_gu is None else format(eoc_gu, '7.2f')}")
-            out = values.get("out")
-            if out:
-                os.makedirs(out, exist_ok=True)
-                write_eoc_csv(os.path.join(out, "eoc.csv"), rows)
+            if cfg.out_dir:
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                write_eoc_csv(os.path.join(cfg.out_dir, "eoc.csv"), rows)
         else:
             traj = run(cfg)
             print(f"finished at t={traj.final_t:.6g} after {traj.n_accepted} steps "

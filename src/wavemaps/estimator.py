@@ -32,7 +32,7 @@ because the bounds are constant on each interval.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,16 +232,15 @@ class EstimatorState:
     """
 
     b0: float = 0.0
-    j: int = 0
-    B_j: float = 0.0
-    log_B: float = -math.inf
-    A_total: float = 0.0
-    D_total: float = 0.0
+    j: int = field(default=0, init=False)
+    B_j: float = field(init=False)
+    log_B: float = field(init=False)
+    A_total: float = field(default=0.0, init=False)
+    D_total: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.j == 0:
-            self.B_j = self.b0
-            self.log_B = math.log(self.b0) if self.b0 > 0.0 else -math.inf
+        self.B_j = self.b0
+        self.log_B = math.log(self.b0) if self.b0 > 0.0 else -math.inf
 
 
 def accumulate(state: EstimatorState, int_alpha: float, int_delta: float) -> EstimatorState:

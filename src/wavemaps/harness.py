@@ -6,7 +6,10 @@ every accepted interval, and feeds them into the accumulated error bound.
 Every attempt, fixed or adaptive, is accepted or rejected by the step
 controller.  Fixed-step runs use its internal ``fixed`` strategy: accept
 every step that can be evaluated, never grow, and halve when the nonlinear
-solve fails to converge or the smallness condition breaks.  The initial
+solve fails to converge or the smallness condition breaks.  The controller
+is a frozen policy.  The run keeps the running tolerance as its own state
+and reads its one step floor, ``RunConfig.tau_min``, in both modes: a
+retry below it stops the run with StepFloor.  The initial
 state and every accepted state must meet the unit-length and
 orthogonality constraints to ``SolverConfig.unit_tol``, which the
 residual bounds assume.  Each state's EndpointTerms (its Laplacian and
@@ -27,7 +30,7 @@ import bisect
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .adapt import FIXED, AdaptiveController, decide
 from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
                         delta_hat, local_quantities, residual_bounds)
 from .grid import Grid2D
+from .reconstruct import eval_residuals
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
                      endpoint_terms, energy, initial_data, rotation_data, step)
 
@@ -63,6 +67,14 @@ class ConstraintViolation(Exception):
     """A state left |u| = 1, u . w = 0 by more than SolverConfig.unit_tol."""
 
 
+class StepFloor(Exception):
+    """A rejection would push tau below tau_min; the run cannot continue."""
+
+
+# the policy of every fixed-mode run; it never grows, so tau_max is not read
+_FIXED_CONTROLLER = AdaptiveController(strategy=FIXED)
+
+
 @dataclass
 class RunConfig:
     M: int = 32
@@ -70,10 +82,10 @@ class RunConfig:
     tau: float = 2.0**-9  # fixed step size, or initial step in adaptive mode
     t_end: float = 0.2
     solver: SolverConfig = field(default_factory=SolverConfig)
-    controller: AdaptiveController | None = None  # None -> defaults; fixed mode builds its own
+    controller: AdaptiveController | None = None  # adaptive only; None -> defaults
     b0: float = 0.0  # initial value of the accumulated bound
     initial: str = "problem"  # "problem" | "constant" | "rotation"
-    tau_min: float = 2.0**-20  # step floor of fixed mode (the controller's in adaptive)
+    tau_min: float = 2.0**-20  # step floor of both modes: a retry below it stops the run
     out_dir: str | None = None
     snapshot_times: tuple | None = None  # None -> DEFAULT_SNAPSHOT_FRACTIONS * t_end
     store_times: tuple = ()  # keep (t, u, w) in memory at these times
@@ -92,16 +104,18 @@ class RunConfig:
             raise ConfigError("b0 must be nonnegative")
         if self.M < 2:
             raise ConfigError("M must be at least 2")
+        if not self.tau_min > 0.0:
+            raise ConfigError("tau_min must be positive")
         if self.mode == "fixed":
-            if self.controller is not None and self.controller.strategy != FIXED:
+            if self.controller is not None:
                 raise ConfigError("fixed mode takes no controller; its step floor is tau_min")
-            # tau_max is never reached: the fixed strategy does not grow
-            self.controller = AdaptiveController(strategy=FIXED, tau_min=self.tau_min,
-                                                 tau_max=math.inf)
-        elif self.controller is None:
+            return
+        if self.controller is None:
             self.controller = AdaptiveController()
-        elif self.controller.strategy == FIXED:
+        if self.controller.strategy == FIXED:
             raise ConfigError("the fixed strategy belongs to fixed mode")
+        if self.tau_min > self.controller.tau_max:
+            raise ConfigError("need tau_min <= tau_max")
 
 
 @dataclass
@@ -110,7 +124,7 @@ class Trajectory:
     times: list  # accepted step end times, starting after t=0
     states: list  # stored (t, u, w) triples
     est: EstimatorState
-    controller_rows: list  # (t_attempt, tau, decision, current_tol, density)
+    controller_rows: list  # (t_attempt, tau, decision, tolerance used, density)
     estimator_rows: list  # (t_j, tau_j, alpha_hat, delta_hat, int_alpha, int_delta, B_j)
     energies: list  # E at t=0 and after every accepted step
     unit_dev_max: float
@@ -143,7 +157,8 @@ def run(cfg: RunConfig) -> Trajectory:
     u, w = _initial_state(cfg, g)
     terms = endpoint_terms(u, w, g)  # carried forward with the state
     est = EstimatorState(b0=cfg.b0)
-    ctrl = replace(cfg.controller)  # the run's tolerance updates stay local
+    ctrl = cfg.controller if cfg.mode == "adaptive" else _FIXED_CONTROLLER
+    tol = ctrl.tol0  # the updated strategy grows it on every accept
 
     snapshot_times = cfg.snapshot_times
     if snapshot_times is None:
@@ -187,7 +202,7 @@ def run(cfg: RunConfig) -> Trajectory:
     j_exact = 0  # step counter while a fixed run is still at its initial tau
     pristine = cfg.mode == "fixed"
 
-    while cfg.t_end - t > ctrl.tau_min:
+    while cfg.t_end - t > cfg.tau_min:
         tau_eff = min(tau, cfg.t_end - t)
         clamped = tau_eff < tau
         a_j = d_j = 0.0
@@ -202,13 +217,14 @@ def run(cfg: RunConfig) -> Trajectory:
                              w_n=w, w_np1=w1, ends=(terms, terms1))
             ok, a_j, d_j = _rates(rec, tau_eff, cfg.solver, g)
 
-        tol_used = ctrl.current_tol
-        decision = decide(ctrl, tau_eff, a_j, d_j, ok)
+        decision = decide(ctrl, tau_eff, a_j, d_j, ok, tol)
         if cfg.mode == "adaptive":
             controller_rows.append(
-                (t, tau_eff, "accept" if decision.accepted else "reject", tol_used, a_j))
-        tau = decision.tau_next
+                (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
+        tau, tol = decision.tau_next, decision.tol_next
         if not decision.accepted:
+            if tau < cfg.tau_min:
+                raise StepFloor(f"retry step {tau:.3e} below tau_min {cfg.tau_min:.3e}")
             n_rejected += 1
             pristine = False
             continue
@@ -384,8 +400,6 @@ def _write_snapshot(out_dir, index, t, tau, u, w, g):
 
 def _write_residual_dump(out_dir, index, rec, g):
     # debug aid: sample the residual parts at the interval midpoint
-    from .reconstruct import eval_residuals
-
     s = eval_residuals(rec, rec.t_n + 0.5 * rec.tau)
     tag = f"{index:03d}"
     for name, field_ in (("ru", s.r_u), ("rw", s.r_w), ("rg", s.r_g)):

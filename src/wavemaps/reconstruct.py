@@ -53,7 +53,6 @@ class ResidualSample:
     r_u3: np.ndarray
     r_w: np.ndarray
     r_g: np.ndarray
-    grad_r_u: np.ndarray  # scalar field |grad (r_u1 + r_u2 + r_u3)|
 
     @property
     def r_u(self) -> np.ndarray:
@@ -129,7 +128,4 @@ def eval_residuals(rec: StepRecord, t: float) -> ResidualSample:
 
     s = gr.dot(utilde, wtilde)
     r_g = s[..., None] * wtilde - (s * s)[..., None] * utilde
-
-    grad_r_u = gr.grad_magnitude(r_u1 + r_u2 + r_u3, g)
-    return ResidualSample(t=t, r_u1=r_u1, r_u2=r_u2, r_u3=r_u3, r_w=r_w, r_g=r_g,
-                          grad_r_u=grad_r_u)
+    return ResidualSample(t=t, r_u1=r_u1, r_u2=r_u2, r_u3=r_u3, r_w=r_w, r_g=r_g)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
-                      StepFloor, decide)
+from wavemaps import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, decide
 from wavemaps.adapt import FIXED
 
 
@@ -13,99 +12,93 @@ def make(strategy=EQUIDISTRIBUTE, **kw):
 
 def test_forced_halving_on_nonconvergence():
     ctrl = make()
-    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False)
+    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False, tol=ctrl.tol0)
     assert not d.accepted
     assert d.tau_next == 0.005
-    assert ctrl.current_tol == ctrl.tol0  # no update on reject
+    assert d.tol_next == ctrl.tol0  # no update on reject
 
 
 def test_zero_density_grows_step():
     ctrl = make(tol0=1e-4, tau_max=2.0**-6)
-    d = decide(ctrl, 0.01, 0.0, 5.0, fp_converged=True)
+    d = decide(ctrl, 0.01, 0.0, 5.0, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted
     assert d.tau_next == min(0.01 * ctrl.grow, ctrl.tau_max)
-    d = decide(ctrl, 2.0**-6, 0.0, 5.0, fp_converged=True)
+    d = decide(ctrl, 2.0**-6, 0.0, 5.0, fp_converged=True, tol=d.tol_next)
     assert d.tau_next == 2.0**-6  # clamped at tau_max
 
 
 def test_reject_above_tolerance():
     ctrl = make(tol0=1e-4)
-    d = decide(ctrl, 0.01, 2e-4, 1.0, fp_converged=True)
+    d = decide(ctrl, 0.01, 2e-4, 1.0, fp_converged=True, tol=ctrl.tol0)
     assert not d.accepted and d.tau_next == 0.005
 
 
 def test_hold_step_inside_safety_band():
     ctrl = make(tol0=1e-4, safety=0.4)
-    d = decide(ctrl, 0.01, 0.7e-4, 1.0, fp_converged=True)
+    d = decide(ctrl, 0.01, 0.7e-4, 1.0, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted and d.tau_next == 0.01
 
 
 def test_updated_tolerance_doubles():
     ctrl = make(UPDATED_TOLERANCE, tol0=1e-6)
     tau, delta = 0.01, 2.0 * math.log(2.0) / 0.01
-    d = decide(ctrl, tau, 0.0, delta, fp_converged=True)
+    d = decide(ctrl, tau, 0.0, delta, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted
-    assert ctrl.current_tol == pytest.approx(2e-6, rel=1e-13)
+    assert d.tol_next == pytest.approx(2e-6, rel=1e-13)
 
 
 def test_equidistribute_tolerance_constant():
     ctrl = make(tol0=1e-4)
+    tol = ctrl.tol0
     for k in range(50):
-        decide(ctrl, 0.01, (k % 3) * 3e-5, 7.0, fp_converged=True)
-    assert ctrl.current_tol == 1e-4
+        tol = decide(ctrl, 0.01, (k % 3) * 3e-5, 7.0, fp_converged=True, tol=tol).tol_next
+    assert tol == 1e-4
 
 
 def test_updated_tolerance_matches_accumulated_growth():
     ctrl = make(UPDATED_TOLERANCE, tol0=1e-6)
     acc = 0.0
-    tol_prev = ctrl.tol0
+    tol = ctrl.tol0
     for k in range(40):
         tau = 0.002 * (1 + k % 4)
         delta = 1.0 + 0.1 * k
-        d = decide(ctrl, tau, 0.2e-6, delta, fp_converged=True)
+        d = decide(ctrl, tau, 0.2e-6, delta, fp_converged=True, tol=tol)
         assert d.accepted
-        assert ctrl.current_tol >= tol_prev  # nondecreasing
-        tol_prev = ctrl.current_tol
+        assert d.tol_next >= tol  # nondecreasing
+        tol = d.tol_next
         acc += 0.5 * tau * delta
-    assert ctrl.current_tol == pytest.approx(1e-6 * math.exp(acc), rel=1e-12)
+    assert tol == pytest.approx(1e-6 * math.exp(acc), rel=1e-12)
 
 
 def test_updated_tolerance_saturates_instead_of_overflowing():
     # 0.5 * tau * delta_hat = 1000: exp() of that overflows a float
     ctrl = make(UPDATED_TOLERANCE, tol0=1.0)
-    d = decide(ctrl, 0.01, 0.5, 2e5, fp_converged=True)
+    d = decide(ctrl, 0.01, 0.5, 2e5, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted and d.tau_next == 0.01
-    assert ctrl.current_tol == math.inf
+    assert d.tol_next == math.inf
 
 
 def test_updated_tolerance_stays_infinite_and_accepts_later_steps():
     ctrl = make(UPDATED_TOLERANCE, tol0=1.0, tau_max=2.0**-6)
-    ctrl.current_tol = math.inf
+    tol = math.inf
     for delta in (10.0, 2e5):
-        d = decide(ctrl, 0.01, 1e6, delta, fp_converged=True)
+        d = decide(ctrl, 0.01, 1e6, delta, fp_converged=True, tol=tol)
         assert d.accepted and d.tau_next == 0.01 * ctrl.grow
-        assert ctrl.current_tol == math.inf
+        assert d.tol_next == math.inf
+        tol = d.tol_next
     # rejections for non-finite rates and failed solves still apply
-    assert not decide(ctrl, 0.01, math.inf, 10.0, fp_converged=True).accepted
-    assert not decide(ctrl, 0.01, 0.0, 10.0, fp_converged=False).accepted
-
-
-def test_step_floor_raises():
-    ctrl = make(tau_min=2.0**-10)
-    with pytest.raises(StepFloor):
-        decide(ctrl, 2.0**-10, 1.0, 1.0, fp_converged=True)  # density too big
+    assert not decide(ctrl, 0.01, math.inf, 10.0, fp_converged=True, tol=tol).accepted
+    assert not decide(ctrl, 0.01, 0.0, 10.0, fp_converged=False, tol=tol).accepted
 
 
 def test_fixed_strategy_accepts_any_density_and_never_grows():
-    ctrl = make(FIXED, tau_min=2.0**-10)
+    ctrl = make(FIXED)
     for density in (0.0, 1e-3, 1e9):
-        d = decide(ctrl, 0.01, density, 5.0, fp_converged=True)
+        d = decide(ctrl, 0.01, density, 5.0, fp_converged=True, tol=ctrl.tol0)
         assert d.accepted and d.tau_next == 0.01
-    assert ctrl.current_tol == ctrl.tol0
-    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False)
+        assert d.tol_next == ctrl.tol0
+    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False, tol=ctrl.tol0)
     assert not d.accepted and d.tau_next == 0.005
-    with pytest.raises(StepFloor):
-        decide(ctrl, 2.0**-10, 0.0, 0.0, fp_converged=False)
 
 
 @pytest.mark.parametrize("strategy", [EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED])
@@ -114,9 +107,10 @@ def test_fixed_strategy_accepts_any_density_and_never_grows():
 def test_nonfinite_rates_are_rejected(strategy, bad, which):
     ctrl = make(strategy, tol0=1e9)
     rates = {"alpha_hat": 1e-6, "delta_hat": 1.0, which: bad}
-    d = decide(ctrl, 0.01, rates["alpha_hat"], rates["delta_hat"], fp_converged=True)
+    d = decide(ctrl, 0.01, rates["alpha_hat"], rates["delta_hat"], fp_converged=True,
+               tol=ctrl.tol0)
     assert not d.accepted and d.tau_next == 0.005
-    assert ctrl.current_tol == ctrl.tol0
+    assert d.tol_next == ctrl.tol0
 
 
 def test_decisions_deterministic():
@@ -125,7 +119,11 @@ def test_decisions_deterministic():
     outs = []
     for _ in range(2):
         ctrl = make(UPDATED_TOLERANCE, tol0=1e-4)
-        outs.append([decide(ctrl, *args) for args in seq])
+        tol, out = ctrl.tol0, []
+        for args in seq:
+            out.append(decide(ctrl, *args, tol=tol))
+            tol = out[-1].tol_next
+        outs.append(out)
     assert outs[0] == outs[1]
 
 
@@ -137,8 +135,6 @@ def test_controller_validation():
     with pytest.raises(ValueError):
         AdaptiveController(safety=0.0)
     with pytest.raises(ValueError):
-        AdaptiveController(tau_min=1.0, tau_max=0.5)
-    with pytest.raises(ValueError):
-        AdaptiveController(tau_min=0.0)  # the run loop would end up stepping by 0
+        AdaptiveController(tau_max=0.0)
     with pytest.raises(ValueError):
         AdaptiveController(tol0=0.0)

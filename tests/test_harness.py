@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_adaptive_run_rejections_do_not_advance_time():
         if row[2] == "reject":
             assert rows[k + 1][0] == row[0]  # retry starts at the same time
             assert rows[k + 1][1] < row[1]  # with a strictly smaller step
-    assert traj.final_t >= 0.05 - ctrl.tau_min
+    assert traj.final_t >= 0.05 - cfg.tau_min
 
 
 def test_smallness_violation_forces_step_reduction(monkeypatch):
@@ -217,7 +218,7 @@ def test_smallness_violation_forces_step_reduction(monkeypatch):
     monkeypatch.setattr(
         hz, "_initial_state",
         lambda cfg, g: rotation_data(g, omega=(0.0, 0.0, 30.0)))
-    ctrl = AdaptiveController(tol0=1e9, tau_max=0.02, tau_min=2.0**-20)
+    ctrl = AdaptiveController(tol0=1e9, tau_max=0.02)
     cfg = RunConfig(M=4, mode="adaptive", tau=0.02, t_end=0.1,
                     initial="rotation", controller=ctrl)
     traj = run(cfg)
@@ -225,15 +226,29 @@ def test_smallness_violation_forces_step_reduction(monkeypatch):
     first = traj.controller_rows[0]
     assert first[2] == "reject" and first[1] == 0.02
     assert all(row[1] < 0.02 for row in traj.estimator_rows)  # never accepted at 0.02
-    assert traj.final_t >= 0.1 - ctrl.tau_min
+    assert traj.final_t >= 0.1 - cfg.tau_min
 
 
 def test_adaptive_run_hits_step_floor():
-    ctrl = AdaptiveController(tol0=1e-12, tau_min=2.0**-14)
-    cfg = RunConfig(M=8, mode="adaptive", tau=2.0**-8, t_end=0.05,
-                    initial="problem", controller=ctrl)
-    with pytest.raises(StepFloor):
+    # the run's tau_min is the floor; the tolerance rejects every attempt
+    cfg = RunConfig(M=8, mode="adaptive", tau=2.0**-8, t_end=0.05, tau_min=2.0**-14,
+                    initial="problem", controller=AdaptiveController(tol0=1e-12))
+    with pytest.raises(StepFloor, match="below tau_min 6.104e-05"):
         run(cfg)
+
+
+def test_fixed_run_hits_step_floor():
+    # the solve fails at tau = 1/8 and 1/16, and the next retry is below tau_min
+    cfg = RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3, tau_min=2.0**-4)
+    with pytest.raises(StepFloor, match="retry step 3.125e-02 below tau_min 6.250e-02"):
+        run(cfg)
+
+
+def test_controller_is_a_frozen_policy():
+    # the running tolerance is state of the run, never of the shared controller
+    cfg = RunConfig(mode="adaptive", controller=AdaptiveController(strategy=UPDATED_TOLERANCE))
+    with pytest.raises(FrozenInstanceError):
+        cfg.controller.tol0 = 1.0
 
 
 def test_run_enforces_unit_tol_on_accepted_states(monkeypatch):
@@ -266,19 +281,26 @@ def test_run_checks_the_initial_state(monkeypatch):
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(mode="nonsense")
-    # the fixed strategy is internal to fixed mode, which takes no other controller
+    # the fixed strategy is internal to fixed mode, which takes no controller at all
     with pytest.raises(ConfigError):
         RunConfig(mode="adaptive", controller=AdaptiveController(strategy="fixed"))
     with pytest.raises(ConfigError):
         RunConfig(mode="fixed", controller=AdaptiveController())
+    with pytest.raises(ConfigError):
+        RunConfig(mode="fixed", controller=AdaptiveController(strategy="fixed"))
     with pytest.raises(ConfigError):
         RunConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(initial="vortex")
     with pytest.raises(ConfigError):
         RunConfig(tau=0.0)
-    with pytest.raises(ValueError):  # fixed mode's controller takes its floor
+    for mode in ("fixed", "adaptive"):
+        with pytest.raises(ConfigError):  # the run loop would end up stepping by 0
+            RunConfig(mode=mode, tau_min=0.0)
+    with pytest.raises(ConfigError):
         RunConfig(mode="fixed", tau_min=-1.0)
+    with pytest.raises(ConfigError):
+        RunConfig(mode="adaptive", tau_min=1.0, controller=AdaptiveController(tau_max=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +387,16 @@ def test_cli_eoc_mode(tmp_path, capsys):
     assert lines[0] == "tau,err_w,eoc_w,err_gu,eoc_gu"
     assert len(lines) == 3
     assert "eoc_w" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["strategy = nonsense", "tau_min = -1", "b0 = -5"])
+def test_cli_eoc_mode_rejects_invalid_run_keys(tmp_path, capsys, line):
+    cfgfile = tmp_path / "eoc.cfg"
+    cfgfile.write_text(f"grid = 8\nmode = eoc\n{line}\n")
+    rc = cli.main(["--config", str(cfgfile)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
 
 
 def test_cli_defaults_are_the_dataclass_defaults():

@@ -135,7 +135,6 @@ def test_time_constant_record_has_zero_residuals():
         s = eval_residuals(rec, rec.t_n + frac * rec.tau)
         for part in (s.r_u1, s.r_u2, s.r_u3, s.r_w, s.r_g):
             assert np.abs(part).max() == 0.0
-        assert np.abs(s.grad_r_u).max() == 0.0
 
 
 def test_ru2_is_time_independent_and_matches_a_u():
@@ -180,13 +179,6 @@ def test_residual_identity_for_w():
         assert rel < 1e-7
 
 
-def test_grad_r_u_matches_parts():
-    rec = scheme_record(G, RNG, 0.02, CFG)
-    s = eval_residuals(rec, rec.t_n + 0.4 * rec.tau)
-    direct = gr.grad_magnitude(s.r_u1 + s.r_u2 + s.r_u3, G)
-    assert np.array_equal(s.grad_r_u, direct)
-
-
 def _residuals_from_fresh_products(rec, t):
     """Reference residuals that rebuild lap u and the four endpoint products
     u x w, lap(u) x u at both ends with gr.cross, in the same operation order
@@ -213,8 +205,7 @@ def _residuals_from_fresh_products(rec, t):
     r_w = lu0 + l1 * (lu1 - lu0) - gr.cross(gr.laplacian(utilde, g), utilde) - a_w
     s = gr.dot(utilde, wtilde)
     r_g = s[..., None] * wtilde - (s * s)[..., None] * utilde
-    return {"r_u1": r_u1, "r_u2": r_u2, "r_u3": r_u3, "r_w": r_w, "r_g": r_g,
-            "grad_r_u": gr.grad_magnitude(r_u1 + r_u2 + r_u3, g)}
+    return {"r_u1": r_u1, "r_u2": r_u2, "r_u3": r_u3, "r_w": r_w, "r_g": r_g}
 
 
 def test_eval_residuals_bitwise_equal_to_fresh_endpoint_products():
