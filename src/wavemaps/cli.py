@@ -100,16 +100,16 @@ def _given(values: dict, cls) -> dict:
 
 
 def _build_run_config(values: dict):
-    strategy = values.get("strategy", EQUIDISTRIBUTE)
-    if strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
-        raise ConfigError(f"unknown strategy {strategy!r}")
     run_kw = _given(values, RunConfig)
+    ctrl_kw = _given(values, AdaptiveController)
     if values.get("mode") == "adaptive":
-        ctrl_kw = _given(values, AdaptiveController)
-        if strategy == UPDATED_TOLERANCE:
+        if ctrl_kw.get("strategy") == UPDATED_TOLERANCE:
             ctrl_kw.setdefault("tol0", 1e-6)
         run_kw["controller"] = AdaptiveController(**ctrl_kw)
         run_kw.setdefault("tau", 2.0**-10)
+    elif ctrl_kw:
+        raise ConfigError(f"controller keys {', '.join(sorted(ctrl_kw))} "
+                          "apply to adaptive mode only")
     return RunConfig(solver=SolverConfig(**_given(values, SolverConfig)), **run_kw)
 
 

@@ -3,18 +3,24 @@
 A run advances the midpoint scheme from the configured initial state to
 T_end, evaluates the residual bounds and the rates alpha_hat/delta_hat on
 every accepted interval, and feeds them into the accumulated error bound.
-Every attempt, fixed or adaptive, is accepted or rejected by the step
-controller.  Fixed-step runs use its internal ``fixed`` strategy: accept
-every step that can be evaluated, never grow, and halve when the nonlinear
-solve fails to converge or the smallness condition breaks.  The controller
-is a frozen policy.  The run keeps the running tolerance as its own state
-and reads its one step floor, ``RunConfig.tau_min``, in both modes: a
-retry below it stops the run with StepFloor.  The initial
-state and every accepted state must meet the unit-length and
-orthogonality constraints to ``SolverConfig.unit_tol``, which the
-residual bounds assume.  Each state's EndpointTerms (its Laplacian and
-the per-state factors of the bounds) are computed once, when the state
-is solved, and carried to the next interval in its StepRecord.
+Fixed and adaptive runs share one step loop: the step controller accepts
+or rejects every attempt, and each attempt is one row of
+``Trajectory.controller_rows``.  Fixed-step runs use its internal
+``fixed`` strategy: accept every step that can be evaluated, never grow,
+and halve when the nonlinear solve fails to converge or the smallness
+condition breaks.  The controller is a frozen policy.  The run keeps the
+running tolerance as its own state and reads its one step floor,
+``RunConfig.tau_min``, in both modes: a retry below it stops the run with
+StepFloor.  Each state's EndpointTerms (its Laplacian and the per-state
+factors of the bounds) are computed once, when the state is solved, and
+carried to the next interval in its StepRecord.
+
+The initial state and every accepted state take one path: energy, the
+unit-length and orthogonality constraints to ``SolverConfig.unit_tol``
+(which the residual bounds assume), stores and snapshots.  A store time
+keeps the state only if the state lands on it to within 2^-40; a store
+time the run steps over keeps nothing.  Every snapshot time the state has
+reached writes its own numbered snapshot, so one step may write several.
 
 Reference comparisons measure, over the times shared by two trajectories
 on the same grid,
@@ -74,6 +80,8 @@ class StepFloor(Exception):
 # the policy of every fixed-mode run; it never grows, so tau_max is not read
 _FIXED_CONTROLLER = AdaptiveController(strategy=FIXED)
 
+_INITIAL_DATA = {"problem": initial_data, "constant": constant_data, "rotation": rotation_data}
+
 
 @dataclass
 class RunConfig:
@@ -94,7 +102,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.initial not in ("problem", "constant", "rotation"):
+        if self.initial not in _INITIAL_DATA:
             raise ConfigError(f"unknown initial data {self.initial!r}")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
@@ -124,13 +132,13 @@ class Trajectory:
     times: list  # accepted step end times, starting after t=0
     states: list  # stored (t, u, w) triples
     est: EstimatorState
-    controller_rows: list  # (t_attempt, tau, decision, tolerance used, density)
+    controller_rows: list  # per attempt: (t_attempt, tau, decision, tolerance used, density)
     estimator_rows: list  # (t_j, tau_j, alpha_hat, delta_hat, int_alpha, int_delta, B_j)
     energies: list  # E at t=0 and after every accepted step
     unit_dev_max: float
     orth_dev_max: float
-    n_accepted: int
-    n_rejected: int
+    n_accepted: int  # len(estimator_rows)
+    n_rejected: int  # len(controller_rows) - len(estimator_rows)
     final_t: float
     final_u: np.ndarray
     final_w: np.ndarray
@@ -144,18 +152,21 @@ class Trajectory:
 
 
 def _initial_state(cfg: RunConfig, g: Grid2D):
-    if cfg.initial == "problem":
-        return initial_data(g)
-    if cfg.initial == "constant":
-        return constant_data(g)
-    return rotation_data(g)
+    return _INITIAL_DATA[cfg.initial](g)
+
+
+def _pop_reached(pending: list, t: float) -> list:
+    """Remove and return the leading times of the sorted schedule ``pending``
+    that a state at time t has reached, to within _TIME_ATOL."""
+    k = bisect.bisect_right(pending, t, key=lambda s: s - _TIME_ATOL)
+    reached = pending[:k]
+    del pending[:k]
+    return reached
 
 
 def run(cfg: RunConfig) -> Trajectory:
     """Drive one full simulation; returns the trajectory with all diagnostics."""
     g = Grid2D(cfg.M)
-    u, w = _initial_state(cfg, g)
-    terms = endpoint_terms(u, w, g)  # carried forward with the state
     est = EstimatorState(b0=cfg.b0)
     ctrl = cfg.controller if cfg.mode == "adaptive" else _FIXED_CONTROLLER
     tol = ctrl.tol0  # the updated strategy grows it on every accept
@@ -163,44 +174,35 @@ def run(cfg: RunConfig) -> Trajectory:
     snapshot_times = cfg.snapshot_times
     if snapshot_times is None:
         snapshot_times = tuple(f * cfg.t_end for f in DEFAULT_SNAPSHOT_FRACTIONS)
-    pending_snaps = sorted(snapshot_times)
-    pending_stores = sorted(cfg.store_times)
+    snaps = sorted(snapshot_times) if cfg.out_dir is not None else []
+    n_snaps = len(snaps)
+    stores = sorted(cfg.store_times)
 
-    times: list = []
     states: list = []
     controller_rows: list = []
     estimator_rows: list = []
-    energies = [energy(u, w, g)]
-    unit_dev, orth_dev = _check_constraints(0.0, u, w, terms.mag_w, cfg.solver.unit_tol)
-    n_rejected = 0
-    snap_index = 0
+    energies: list = []
+    devs: list = []  # (max||u|-1|, max|u.w|) of every kept state
 
-    def maybe_store(t_now, u_now, w_now):
-        nonlocal pending_stores
-        while pending_stores and t_now >= pending_stores[0] - _TIME_ATOL:
-            if abs(t_now - pending_stores[0]) <= _TIME_ATOL:
-                states.append((t_now, u_now.copy(), w_now.copy()))
-            pending_stores = pending_stores[1:]
-
-    def maybe_snapshot(t_now, tau_now, u_now, w_now, rec=None):
-        nonlocal pending_snaps, snap_index
-        if cfg.out_dir is None:
-            pending_snaps = [s for s in pending_snaps if s > t_now + _TIME_ATOL]
-            return
-        while pending_snaps and t_now >= pending_snaps[0] - _TIME_ATOL:
-            _write_snapshot(cfg.out_dir, snap_index, t_now, tau_now, u_now, w_now, g)
+    def keep(t, tau, u, w, terms, rec=None):
+        """Diagnostics, stores and snapshots of the initial or an accepted state."""
+        energies.append(energy(u, w, g))
+        devs.append(_check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol))
+        for s in _pop_reached(stores, t):
+            if abs(t - s) <= _TIME_ATOL:
+                states.append((t, u.copy(), w.copy()))
+        first = n_snaps - len(snaps)  # snapshots written so far
+        for index in range(first, first + len(_pop_reached(snaps, t))):
+            _write_snapshot(cfg.out_dir, index, t, tau, u, w, g)
             if cfg.dump_residuals and rec is not None:
-                _write_residual_dump(cfg.out_dir, snap_index, rec, g)
-            snap_index += 1
-            pending_snaps = pending_snaps[1:]
-
-    maybe_store(0.0, u, w)
-    maybe_snapshot(0.0, cfg.tau, u, w)
+                _write_residual_dump(cfg.out_dir, index, rec, g)
 
     tau = cfg.tau
     t = 0.0
-    j_exact = 0  # step counter while a fixed run is still at its initial tau
-    pristine = cfg.mode == "fixed"
+    u, w = _initial_state(cfg, g)
+    terms = endpoint_terms(u, w, g)  # carried forward with the state
+    keep(t, tau, u, w, terms)
+    pristine = cfg.mode == "fixed"  # until the first rejection, every step is cfg.tau
 
     while cfg.t_end - t > cfg.tau_min:
         tau_eff = min(tau, cfg.t_end - t)
@@ -218,20 +220,17 @@ def run(cfg: RunConfig) -> Trajectory:
             ok, a_j, d_j = _rates(rec, tau_eff, cfg.solver, g)
 
         decision = decide(ctrl, tau_eff, a_j, d_j, ok, tol)
-        if cfg.mode == "adaptive":
-            controller_rows.append(
-                (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
+        controller_rows.append(
+            (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
         tau, tol = decision.tau_next, decision.tol_next
         if not decision.accepted:
             if tau < cfg.tau_min:
                 raise StepFloor(f"retry step {tau:.3e} below tau_min {cfg.tau_min:.3e}")
-            n_rejected += 1
             pristine = False
             continue
 
-        if pristine and not clamped:
-            j_exact += 1
-            t_new = j_exact * tau_eff  # exact dyadic times for nested comparisons
+        if pristine and not clamped:  # exact dyadic times for nested comparisons
+            t_new = (len(estimator_rows) + 1) * tau_eff
         else:
             t_new = cfg.t_end if clamped else t + tau_eff
 
@@ -240,21 +239,15 @@ def run(cfg: RunConfig) -> Trajectory:
         accumulate(est, int_a, int_d)
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
-        u, w, terms = u1, w1, terms1
-        t = t_new
-        times.append(t)
-        energies.append(energy(u, w, g))
-        unit_k, orth_k = _check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol)
-        unit_dev = max(unit_dev, unit_k)
-        orth_dev = max(orth_dev, orth_k)
-        maybe_store(t, u, w)
-        maybe_snapshot(t, tau_eff, u, w, rec)
+        u, w, terms, t = u1, w1, terms1, t_new
+        keep(t, tau_eff, u, w, terms, rec)
 
     traj = Trajectory(
-        grid=g, times=times, states=states, est=est,
+        grid=g, times=[row[0] for row in estimator_rows], states=states, est=est,
         controller_rows=controller_rows, estimator_rows=estimator_rows,
-        energies=energies, unit_dev_max=unit_dev, orth_dev_max=orth_dev,
-        n_accepted=len(times), n_rejected=n_rejected,
+        energies=energies, unit_dev_max=max(d for d, _ in devs),
+        orth_dev_max=max(d for _, d in devs), n_accepted=len(estimator_rows),
+        n_rejected=len(controller_rows) - len(estimator_rows),
         final_t=t, final_u=u, final_w=w,
     )
     if cfg.out_dir is not None:
@@ -293,10 +286,11 @@ def _check_constraints(t, u, w, mag_w, unit_tol):
 # reference comparison and EOC
 
 
-def energy_norm_error(coarse: Trajectory, ref: Trajectory, g: Grid2D):
+def energy_norm_error(coarse: Trajectory, ref: Trajectory):
     """(err_w, err_gu) over the stored times shared by both trajectories."""
-    if coarse.grid != ref.grid or coarse.grid != g:
+    if coarse.grid != ref.grid:
         raise TimeMismatch("trajectories live on different grids")
+    g = coarse.grid
     if not coarse.states:
         raise TimeMismatch("coarse trajectory stored no states")
     ref_times = [t for t, _, _ in ref.states]
@@ -330,7 +324,6 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):
         raise ConfigError("every coarse tau must exceed tau_ref")
-    g = Grid2D(M)
     finest = min(taus)
     store = tuple(_step_times(finest, t_end))
     ref = run(RunConfig(M=M, mode="fixed", tau=tau_ref, t_end=t_end, solver=solver,
@@ -341,7 +334,7 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
         cfg = RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
                         initial=initial, store_times=tuple(_step_times(tau, t_end)))
         traj = run(cfg)
-        err_w, err_gu = energy_norm_error(traj, ref, g)
+        err_w, err_gu = energy_norm_error(traj, ref)
         if prev is None:
             rows.append((tau, err_w, None, err_gu, None))
         else:
@@ -368,20 +361,24 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
+def _write_csv(path, header, rows):
+    """One table: strings as given, None as an empty cell, numbers as %.17g."""
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        for row in rows:
+            wtr.writerow([v if v is None or isinstance(v, str) else _fmt(v) for v in row])
+
+
 def _write_outputs(cfg: RunConfig, traj: Trajectory):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "estimator.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["t_j", "tau_j", "alpha_hat", "delta_hat",
-                      "int_alpha", "int_delta", "B_j"])
-        for row in traj.estimator_rows:
-            wtr.writerow([_fmt(v) for v in row])
+    _write_csv(os.path.join(cfg.out_dir, "estimator.csv"),
+               ["t_j", "tau_j", "alpha_hat", "delta_hat", "int_alpha", "int_delta", "B_j"],
+               traj.estimator_rows)
     if cfg.mode == "adaptive":
-        with open(os.path.join(cfg.out_dir, "controller.csv"), "w", newline="") as fh:
-            wtr = csv.writer(fh)
-            wtr.writerow(["t_j", "tau_j", "decision", "current_tol", "density"])
-            for t, tau, dec, tol, dens in traj.controller_rows:
-                wtr.writerow([_fmt(t), _fmt(tau), dec, _fmt(tol), _fmt(dens)])
+        _write_csv(os.path.join(cfg.out_dir, "controller.csv"),
+                   ["t_j", "tau_j", "decision", "current_tol", "density"],
+                   traj.controller_rows)
     gr.write_field(os.path.join(cfg.out_dir, "final_u.wmf"), traj.final_u)
     gr.write_field(os.path.join(cfg.out_dir, "final_w.wmf"), traj.final_w)
     with open(os.path.join(cfg.out_dir, "final.txt"), "w") as fh:
@@ -407,13 +404,4 @@ def _write_residual_dump(out_dir, index, rec, g):
 
 
 def write_eoc_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["tau", "err_w", "eoc_w", "err_gu", "eoc_gu"])
-        for tau, err_w, eoc_w, err_gu, eoc_gu in rows:
-            wtr.writerow([
-                _fmt(tau), _fmt(err_w),
-                "" if eoc_w is None else _fmt(eoc_w),
-                _fmt(err_gu),
-                "" if eoc_gu is None else _fmt(eoc_gu),
-            ])
+    _write_csv(path, ["tau", "err_w", "eoc_w", "err_gu", "eoc_gu"], rows)

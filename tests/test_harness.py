@@ -84,6 +84,9 @@ def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch):
     traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3))
     assert failures == [("solver", 2.0**-3), ("solver", 2.0**-4), ("smallness", 2.0**-5)]
     assert (traj.n_accepted, traj.n_rejected) == (17, 3)
+    # fixed runs record every attempt, like adaptive ones
+    decisions = [row[2] for row in traj.controller_rows]
+    assert len(decisions) == 20 and decisions.count("reject") == 3
     assert traj.est.log_B == pytest.approx(702.0615168150063, rel=1e-9)
     taus = [row[1] for row in traj.estimator_rows]
     assert taus[:3] == [2.0**-5] * 3
@@ -105,6 +108,25 @@ def test_outputs_and_snapshot_roundtrip(tmp_path):
     snaps = sorted(out.glob("snap_*_u.wmf"))
     assert len(snaps) == 8  # default schedule has eight times
     assert (out / "final.txt").read_text().startswith("t=")
+
+
+def test_snapshot_times_reached_by_one_step_get_their_own_index(tmp_path):
+    out = tmp_path / "out"
+    cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="constant",
+                    out_dir=str(out), snapshot_times=(0.01, 0.015, 0.04))
+    run(cfg)
+    sidecars = sorted(p.name for p in out.glob("snap_*.txt"))
+    assert sidecars == ["snap_000.txt", "snap_001.txt", "snap_002.txt"]
+    # the first step reaches 0.01 and 0.015 at once
+    times = [float((out / name).read_text().split()[0][2:]) for name in sidecars]
+    assert times == [0.02, 0.02, 0.04]
+
+
+def test_store_times_keep_only_states_the_run_lands_on():
+    cfg = RunConfig(M=8, mode="fixed", tau=2.0**-5, t_end=2.0**-3, initial="constant",
+                    store_times=(0.0, 2.0**-5, 0.05, 2.0**-3))
+    traj = run(cfg)
+    assert [t for t, _, _ in traj.states] == [0.0, 2.0**-5, 2.0**-3]
 
 
 def test_debug_residual_dumps(tmp_path):
@@ -132,11 +154,10 @@ def test_reruns_are_bit_identical(tmp_path):
 
 
 def test_energy_norm_error_of_trajectory_with_itself():
-    g = Grid2D(8)
     cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.08, initial="problem",
                     store_times=(0.0, 0.02, 0.04, 0.06, 0.08))
     traj = run(cfg)
-    err_w, err_gu = energy_norm_error(traj, traj, g)
+    err_w, err_gu = energy_norm_error(traj, traj)
     assert err_w == 0.0 and err_gu == 0.0
 
 
@@ -148,7 +169,7 @@ def test_energy_norm_error_constant_momentum_shift():
     c = 0.125
     ref = mk_traj(g, [(0.0, u, w)])
     coarse = mk_traj(g, [(0.0, u, w + np.array([0.0, 0.0, c]))])
-    err_w, err_gu = energy_norm_error(coarse, ref, g)
+    err_w, err_gu = energy_norm_error(coarse, ref)
     assert err_w == pytest.approx(c, rel=1e-12)
     assert err_gu == 0.0
 
@@ -160,13 +181,31 @@ def test_energy_norm_error_mismatches():
     u16 = gr.constant_field(g16, (1, 0, 0))
     t16 = mk_traj(g16, [(0.0, u16, 0 * u16)])
     with pytest.raises(TimeMismatch):
-        energy_norm_error(t8, t16, g8)
+        energy_norm_error(t8, t16)
     other = mk_traj(g8, [(0.37, u8, 0 * u8)])
     with pytest.raises(TimeMismatch):
-        energy_norm_error(other, t8, g8)
+        energy_norm_error(other, t8)
     empty = mk_traj(g8, [])
     with pytest.raises(TimeMismatch):
-        energy_norm_error(empty, t8, g8)
+        energy_norm_error(empty, t8)
+
+
+@pytest.mark.parametrize("M, t_end, tau", [
+    (16, 2.0**-6, 2.0**-8), (16, 2.0**-4, 2.0**-7),
+    (32, 2.0**-5, 2.0**-8), (32, 2.0**-4, 2.0**-7)])
+def test_bound_dominates_the_error_at_every_stored_time(M, t_end, tau):
+    # reliability: B_j(t_k) >= || (w, grad u)(t_k) - reference ||_L2, with a
+    # tau = 2^-13 run standing in for the exact solution
+    times = tuple(k * tau for k in range(1, round(t_end / tau) + 1))
+    coarse = run(RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, store_times=times))
+    ref = run(RunConfig(M=M, mode="fixed", tau=2.0**-13, t_end=t_end, store_times=times))
+    g = coarse.grid
+    bound = {row[0]: row[6] for row in coarse.estimator_rows}
+    assert [t for t, _, _ in coarse.states] == [t for t, _, _ in ref.states] == list(times)
+    for (t, u_c, w_c), (_, u_r, w_r) in zip(coarse.states, ref.states):
+        err_w = gr.lp_norm(w_c - w_r, 2.0, g)
+        err_gu = math.sqrt(gr.integrate(gr.gradient_sq(u_c - u_r, g), g))
+        assert bound[t] >= math.hypot(err_w, err_gu) > 0.0, t
 
 
 def test_eoc_reference_values():
@@ -363,6 +402,17 @@ def test_cli_rejects_nonpositive_tau_min(tmp_path, capsys, mode):
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 3
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["fixed", "eoc"])
+def test_cli_rejects_controller_keys_outside_adaptive_mode(tmp_path, capsys, mode):
+    cfgfile = tmp_path / "ctrl.cfg"
+    cfgfile.write_text(f"grid = 8\nmode = {mode}\ntend = 0.01\neoc_taus = 2^-7,2^-8\n"
+                       "tau_ref = 2^-10\ntol0 = -3\ngrow = 0.5\ntau_max = -1\n")
+    rc = cli.main(["--config", str(cfgfile)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "grow, tau_max, tol0" in captured.err and captured.out == ""
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
