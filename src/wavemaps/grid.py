@@ -8,7 +8,7 @@ derivative of every field vanish on the boundary.
 Vector fields are (M+1, M+1, 3) float64 arrays, scalar fields are
 (M+1, M+1); index [i, j] addresses the node (x_i, y_j), row-major with
 the x index outermost.  Fields are treated as immutable values: every
-operator allocates its result.
+operator allocates its result, unless given ``out``.
 
 All global reductions (norms, integrals, energies) use numpy's pairwise
 summation over the row-major node order.  That order is fixed by the
@@ -78,9 +78,12 @@ def _sum3(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _mirror_pad(f: np.ndarray) -> np.ndarray:
-    """f with one mirror ghost layer on each side, as np.pad(mode="reflect")."""
-    fp = np.empty((f.shape[0] + 2, f.shape[1] + 2) + f.shape[2:], dtype=f.dtype)
+def _mirror_pad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f with one mirror ghost layer on each side, as np.pad(mode="reflect"),
+    written into ``out`` when given."""
+    fp = out
+    if fp is None:
+        fp = np.empty((f.shape[0] + 2, f.shape[1] + 2) + f.shape[2:], dtype=f.dtype)
     fp[1:-1, 1:-1] = f
     fp[0, 1:-1] = f[1]
     fp[-1, 1:-1] = f[-2]
@@ -94,11 +97,24 @@ def _check_shape(f: np.ndarray, g: Grid2D):
         raise ValueError(f"field shape {f.shape} does not match grid M={g.M}")
 
 
-def laplacian(f: np.ndarray, g: Grid2D) -> np.ndarray:
-    """5-point Laplacian with mirror ghost nodes (Neumann boundary)."""
+def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
+              pad: np.ndarray | None = None) -> np.ndarray:
+    """5-point Laplacian with mirror ghost nodes (Neumann boundary).
+
+    The result goes to ``out`` and the padded copy of f to ``pad``, an
+    (M+3, M+3, ...) scratch array; each is allocated when not given, and
+    ``out`` must not overlap f.
+    """
     _check_shape(f, g)
-    fp = _mirror_pad(f)
-    out = fp[2:, 1:-1] + fp[:-2, 1:-1] + fp[1:-1, 2:] + fp[1:-1, :-2] - 4.0 * f
+    fp = _mirror_pad(f, pad)
+    if out is None:
+        out = np.empty(f.shape)
+    np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=out)
+    out += fp[1:-1, 2:]
+    out += fp[1:-1, :-2]
+    centre = fp[1:-1, 1:-1]  # a copy of f; the padded copy is scratch from here
+    centre *= 4.0
+    out -= centre
     out /= g.h * g.h
     return out
 
@@ -171,14 +187,23 @@ def dirichlet_form(f: np.ndarray, g: Grid2D) -> float:
     return _sum(sqx * w1[None, :]) + _sum(sqy * w1[:, None])
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Node-wise cross product of vector fields, bitwise equal to np.cross."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+          tmp: np.ndarray | None = None) -> np.ndarray:
+    """Node-wise cross product of vector fields, bitwise equal to np.cross.
+
+    The result goes to ``out``, which must not overlap a or b, and ``tmp``,
+    a scalar field, holds one product at a time; each is allocated when
+    not given.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if tmp is None:
+        tmp = np.empty(out.shape[:-1])
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        out_k = out[..., k]  # a_i * b_j - a_j * b_i
+        np.multiply(a[..., i], b[..., j], out=out_k)
+        np.multiply(a[..., j], b[..., i], out=tmp)
+        out_k -= tmp
     return out
 
 

@@ -133,6 +133,7 @@ class Trajectory:
     states: list  # stored (t, u, w) triples
     est: EstimatorState
     controller_rows: list  # per attempt: (t_attempt, tau, decision, tolerance used, density)
+    fp_iterations: list  # per attempt: fixed-point iterations, also of a failed solve
     estimator_rows: list  # (t_j, tau_j, alpha_hat, delta_hat, int_alpha, int_delta, B_j)
     energies: list  # E at t=0 and after every accepted step
     unit_dev_max: float
@@ -180,6 +181,7 @@ def run(cfg: RunConfig) -> Trajectory:
 
     states: list = []
     controller_rows: list = []
+    fp_iterations: list = []
     estimator_rows: list = []
     energies: list = []
     devs: list = []  # (max||u|-1|, max|u.w|) of every kept state
@@ -210,9 +212,9 @@ def run(cfg: RunConfig) -> Trajectory:
         a_j = d_j = 0.0
         ok = False  # the solve converged and the smallness condition holds
         try:
-            u1, w1, _ = step(u, w, tau_eff, cfg.solver, g)
-        except NonConvergence:
-            pass
+            u1, w1, iterations = step(u, w, tau_eff, cfg.solver, g)
+        except NonConvergence as exc:
+            iterations = exc.iterations
         else:
             terms1 = endpoint_terms(u1, w1, g)
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
@@ -222,6 +224,7 @@ def run(cfg: RunConfig) -> Trajectory:
         decision = decide(ctrl, tau_eff, a_j, d_j, ok, tol)
         controller_rows.append(
             (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
+        fp_iterations.append(iterations)
         tau, tol = decision.tau_next, decision.tol_next
         if not decision.accepted:
             if tau < cfg.tau_min:
@@ -244,7 +247,8 @@ def run(cfg: RunConfig) -> Trajectory:
 
     traj = Trajectory(
         grid=g, times=[row[0] for row in estimator_rows], states=states, est=est,
-        controller_rows=controller_rows, estimator_rows=estimator_rows,
+        controller_rows=controller_rows, fp_iterations=fp_iterations,
+        estimator_rows=estimator_rows,
         energies=energies, unit_dev_max=max(d for d, _ in devs),
         orth_dev_max=max(d for _, d in devs), n_accepted=len(estimator_rows),
         n_rejected=len(controller_rows) - len(estimator_rows),

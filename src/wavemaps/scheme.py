@@ -5,7 +5,9 @@ One step of size tau solves the implicit midpoint system
 
     u1 = u0 + tau * (mu x mw),      w1 = w0 + tau * (lap(mu) x mu),
 
-with mu = (u0 + u1)/2 and mw = (w0 + w1)/2, by fixed-point iteration.
+with mu = (u0 + u1)/2 and mw = (w0 + w1)/2, by a Gauss-Seidel fixed-point
+iteration: the w update of each sweep already uses the midpoint of the
+new u.  One call allocates its buffers once and returns fresh fields.
 At the fixed point the step preserves both node-wise constraints exactly
 and conserves the discrete energy
 
@@ -176,23 +178,47 @@ def rotation_data(g: Grid2D, u0=(1.0, 0.0, 0.0), omega=(0.0, 0.0, 1.0)):
 def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D):
     """Advance one interval of length tau; returns (u_np1, w_np1, iterations).
 
-    Both fields are updated Jacobi-style from the previous iterate and the
-    iteration stops once the max-norm change of both is <= cfg.fp_tol.
+    The iteration is Gauss-Seidel: each sweep updates u from the current
+    midpoints, refreshes mu from the new u, and updates w from that mu;
+    mw follows from the new w.  It stops once the max-norm change of both
+    iterates is <= cfg.fp_tol.  The sweeps allocate nothing: every field
+    they write (the midpoints, one cross/scale buffer, the Laplacian and
+    its padded copy, a scalar scratch and two rotating (u, w) iterate
+    pairs) is allocated once per call.  u_n and w_n are only read, and
+    the returned fields are fresh arrays that belong to the caller.
     Negative tau is allowed (the midpoint map is time-symmetric), zero is
     not.  Raises NonConvergence when the cap is hit, which signals that
     |tau| is above the convergence threshold of the iteration.
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
+    shape = u_n.shape
+    mu, mw, c, lap = (np.empty(shape) for _ in range(4))
+    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
+    s = np.empty(shape[:2])
+    us = (np.empty(shape), np.empty(shape))
+    ws = (np.empty(shape), np.empty(shape))
     u, w = u_n, w_n
+    m_u, m_w = u_n, w_n  # midpoints of the iterate (u_n, w_n)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.fp_max_iter + 1):
-            mu = 0.5 * (u_n + u)
-            mw = 0.5 * (w_n + w)
-            u_new = u_n + tau * gr.cross(mu, mw)
-            w_new = w_n + tau * gr.cross(gr.laplacian(mu, g), mu)
-            du = float(np.abs(u_new - u).max())
-            dw = float(np.abs(w_new - w).max())
+            u_new, w_new = us[it % 2], ws[it % 2]
+            gr.cross(m_u, m_w, out=c, tmp=s)  # u_new = u_n + tau * (mu x mw)
+            c *= tau
+            np.add(u_n, c, out=u_new)
+            np.add(u_n, u_new, out=mu)  # mu = (u_n + u_new) / 2
+            mu *= 0.5
+            gr.laplacian(mu, g, out=lap, pad=pad)  # w_new = w_n + tau * (lap mu x mu)
+            gr.cross(lap, mu, out=c, tmp=s)
+            c *= tau
+            np.add(w_n, c, out=w_new)
+            np.add(w_n, w_new, out=mw)  # mw = (w_n + w_new) / 2
+            mw *= 0.5
+            m_u, m_w = mu, mw
+            np.subtract(u_new, u, out=c)
+            du = float(np.abs(c, out=c).max())
+            np.subtract(w_new, w, out=c)
+            dw = float(np.abs(c, out=c).max())
             u, w = u_new, w_new
             if not (math.isfinite(du) and math.isfinite(dw)):
                 raise NonConvergence(it)  # iteration diverged outright

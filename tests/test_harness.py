@@ -12,13 +12,14 @@ from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
 from wavemaps import cli
 from wavemaps import grid as gr
 
-from test_scheme import cayley_apply
+from test_scheme import cayley_apply, jacobi_step
 
 
 def mk_traj(g, states):
     z = np.zeros(g.shape + (3,))
     return Trajectory(grid=g, times=[t for t, _, _ in states[1:]], states=states,
-                      est=EstimatorState(), controller_rows=[], estimator_rows=[],
+                      est=EstimatorState(), controller_rows=[], fp_iterations=[],
+                      estimator_rows=[],
                       energies=[0.0], unit_dev_max=0.0, orth_dev_max=0.0,
                       n_accepted=len(states) - 1, n_rejected=0,
                       final_t=states[-1][0] if states else 0.0, final_u=z, final_w=z)
@@ -151,6 +152,49 @@ def test_reruns_are_bit_identical(tmp_path):
         texts.append((out / "estimator.csv").read_bytes()
                      + (out / "controller.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_runs_on_other_grids_in_between_leave_a_run_unchanged():
+    def rows(M):
+        return run(RunConfig(M=M, mode="fixed", tau=2.0**-8, t_end=0.03)).estimator_rows
+
+    first = rows(32)
+    rows(16)
+    assert rows(32) == first
+
+
+def test_fp_iterations_record_every_attempt(monkeypatch):
+    # the solve fails at tau = 1/8 and 1/16 and converges from 1/32 on
+    import wavemaps.harness as hz
+    seen = []
+    real_step = hz.step
+
+    def watched_step(u, w, tau, cfg, g):
+        try:
+            result = real_step(u, w, tau, cfg, g)
+        except NonConvergence as exc:
+            seen.append(exc.iterations)
+            raise
+        seen.append(result[2])
+        return result
+
+    monkeypatch.setattr(hz, "step", watched_step)
+    traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.15))
+    assert traj.fp_iterations == seen
+    assert len(traj.fp_iterations) == len(traj.controller_rows)
+    assert [row[2] for row in traj.controller_rows[:3]] == ["reject", "reject", "accept"]
+    assert all(type(n) is int and n >= 1 for n in traj.fp_iterations)
+
+
+def test_gauss_seidel_saves_iterations_over_a_run(monkeypatch):
+    import wavemaps.harness as hz
+    cfg = RunConfig(M=32, mode="fixed", tau=2.0**-9, t_end=0.05)
+    gs = run(cfg)
+    monkeypatch.setattr(hz, "step", jacobi_step)
+    jac = run(cfg)
+    assert (gs.n_accepted, gs.n_rejected) == (jac.n_accepted, jac.n_rejected)
+    assert gs.est.log_B == pytest.approx(jac.est.log_B, rel=1e-12)
+    assert sum(gs.fp_iterations) <= 0.75 * sum(jac.fp_iterations)
 
 
 def test_energy_norm_error_of_trajectory_with_itself():

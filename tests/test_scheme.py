@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,26 @@ def cayley_apply(u3, omega3, tau):
     lhs = np.eye(3) + 0.5 * tau * wx
     rhs = (np.eye(3) - 0.5 * tau * wx) @ np.asarray(u3, dtype=float)
     return np.linalg.solve(lhs, rhs)
+
+
+def jacobi_step(u_n, w_n, tau, cfg, g):
+    """Jacobi iteration of the midpoint system: both updates read the
+    previous iterate.  Same stopping rule as scheme.step; a reference for
+    its fixed point and its iteration count."""
+    u, w = u_n, w_n
+    for it in range(1, cfg.fp_max_iter + 1):
+        mu = 0.5 * (u_n + u)
+        mw = 0.5 * (w_n + w)
+        u_new = u_n + tau * gr.cross(mu, mw)
+        w_new = w_n + tau * gr.cross(gr.laplacian(mu, g), mu)
+        du = float(np.abs(u_new - u).max())
+        dw = float(np.abs(w_new - w).max())
+        u, w = u_new, w_new
+        if not (math.isfinite(du) and math.isfinite(dw)):
+            raise NonConvergence(it)
+        if du <= cfg.fp_tol and dw <= cfg.fp_tol:
+            return u, w, it
+    raise NonConvergence(cfg.fp_max_iter)
 
 
 def test_initial_data_pointwise_values():
@@ -134,6 +157,69 @@ def test_step_rejects_zero_tau_and_raises_on_divergence():
         step(u, w, 0.0, cfg, g)
     with pytest.raises(NonConvergence):
         step(u, w, 1.0, cfg, g)  # far above the convergence threshold
+
+
+def test_step_results_belong_to_the_caller():
+    g = Grid2D(16)
+    cfg = SolverConfig()
+    u0, w0 = initial_data(g)
+    u1, w1, _ = step(u0, w0, 2.0**-8, cfg, g)
+    kept = [a.copy() for a in (u0, w0, u1, w1)]
+    u2, w2, _ = step(u1, w1, 2.0**-8, cfg, g)
+    for a, b in zip((u0, w0, u1, w1), kept):
+        assert a.tobytes() == b.tobytes()
+    for a in (u2, w2):
+        assert not any(np.shares_memory(a, b) for b in (u0, w0, u1, w1))
+
+
+def test_gauss_seidel_reaches_the_jacobi_fixed_point():
+    g = Grid2D(32)
+    cfg = SolverConfig()
+    u, w = initial_data(g)
+    uj, wj = u, w
+    for _ in range(6):
+        u, w, _ = step(u, w, 2.0**-9, cfg, g)
+        uj, wj, _ = jacobi_step(uj, wj, 2.0**-9, cfg, g)
+        assert np.abs(u - uj).max() <= 1e-11
+        assert np.abs(w - wj).max() <= 1e-11
+
+
+def test_gauss_seidel_needs_fewer_iterations_than_jacobi():
+    g = Grid2D(64)
+    cfg = SolverConfig()
+    u, w = initial_data(g)
+    for _ in range(26):  # to t = 0.1016, where the bump has steepened
+        u, w, _ = step(u, w, 2.0**-8, cfg, g)
+    tau = g.h / 16
+    assert step(u, w, tau, cfg, g)[2] <= 7
+    assert jacobi_step(u, w, tau, cfg, g)[2] >= 10
+
+
+def test_step_allocates_nothing_beyond_its_buffers():
+    # With every buffer allocated before the loop, any field-sized
+    # temporary inside the loop would raise the traced peak above the
+    # buffers by a whole field (400 KB at M = 128).  numpy's ufunc
+    # iterator may hold up to one buffer of getbufsize() elements per
+    # operand of a strided operation.
+    g = Grid2D(128)
+    cfg = SolverConfig()
+    u, w = initial_data(g)
+    u, w, _ = step(u, w, 2.0**-11, cfg, g)
+    field_bytes = u.nbytes
+    buffers = (8 * field_bytes  # mu, mw, cross/scale, Laplacian, 2 (u, w) pairs
+               + (g.M + 3) ** 2 * 3 * 8  # padded copy
+               + field_bytes // 3)  # scalar scratch
+    iterator = 3 * np.getbufsize() * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, _, iterations = step(u, w, 2.0**-11, cfg, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert iterations > 2
+    assert peak <= buffers + iterator + 16 * 1024
 
 
 def test_step_record_caches_and_validates():
