@@ -17,6 +17,7 @@ rounding error stays within a few ulps of the sum of absolute terms.
 The component sums of vector fields add x, y and z in that order.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,14 +265,174 @@ def read_field(path) -> np.ndarray:
     return data.reshape(m + 1, m + 1, 3).copy()
 
 
+# "%.17g" in numpy.  CPython's conversion is correctly rounded (Gay 1990)
+# and at 17 digits it leaves its fast path, at about 1 us per value.  The
+# kernel below computes the same 17 digits from Dekker's exact product and
+# hands every value it cannot certify back to "%.17g".
+
+# node rows per block of the CSV writer: at M = 128 a block's arrays peak
+# near 0.8 MB, where formatting the whole field at once takes about 10 MB
+_CSV_BLOCK_ROWS = 8
+_G17_WIDTH = 45  # sign, "0.000", 17 digit and point slots, "e+308"
+_G17_TIE = 1e-9  # a fraction this close to 1/2 is not certified
+_POW10_MIN = -292  # 10^k for k = 16 - E, E = -324..308 and one to spare
+_POW10_MAX = 341
+_CSV_COORDS: dict[int, np.ndarray] = {}
+
+
+def _split(a):
+    """Veltkamp split a = hi + lo into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _g17_tables():
+    """Column c of the first table holds the 4 ASCII digits of c, for
+    c < 10000.  The others give 10^k = m_k * 2^t_k for k = _POW10_MIN ..
+    _POW10_MAX: m_k in [1, 2) as a double-double hi + lo with
+    |hi + lo - m_k| <= 2^-106, hi's Veltkamp halves, and t_k.  They are
+    built on first use, from exact integers."""
+    place = np.array([[1000], [100], [10], [1]], dtype=np.uint16)
+    chunks = (np.arange(10000, dtype=np.uint16) // place % 10 + 48).astype(np.uint8)
+    hi, lo, shift = [], [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        t = num.bit_length() - den.bit_length()  # floor(log2(10^k)) or one more
+        if num << max(-t, 0) < den << max(t, 0):
+            t -= 1
+        # s = m_k * 2^105 rounded to an integer: hi holds its top 53 bits and
+        # lo the remainder (at most 2^52, so exact)
+        a, b = (num << (105 - t), den) if t <= 105 else (num, den << (t - 105))
+        s = (2 * a + b) // (2 * b)
+        top = float(s)
+        hi.append(math.ldexp(top, -105))
+        lo.append(math.ldexp(float(s - int(top)), -105))
+        shift.append(t)
+    hi = np.array(hi)
+    return chunks, hi, *_split(hi), np.array(lo), np.array(shift, dtype=np.int32)
+
+
+def _g17(v: np.ndarray) -> np.ndarray:
+    """Column i holds the ASCII bytes of "%.17g" % v[i], NUL-padded to
+    _G17_WIDTH rows.
+
+    For finite nonzero x with E = floor(log10|x|) (estimated from log10),
+    V = |x| * 10^(16-E) is formed as xs * (hi + lo) with xs = |x| * 2^t
+    exact: Dekker's TwoProduct gives xs*hi = p + err exactly, and r = err
+    + xs*lo is added in double.  With V < 10^17 < 2^57: |err| <= ulp(p)/2
+    <= 8, |xs*lo| <= 2^57 * 2^-53 = 16 (rounding error <= 2^-49), |r| < 25
+    (rounding error <= 2^-49), and a 2^-104 relative error in m_k costs at
+    most 2^57 * 2^-104 = 2^-47.  So |V - (p + r)| < 2^-46, about 1.4e-14.
+    Since p >= 2^53 is an integer, floor(V) = p + floor(r) exactly, and
+    rounding V to the nearest integer is certified unless frac(r) lies
+    within _G17_TIE of 1/2 (every exact tie does), or floor(V) falls
+    outside [10^16, 10^17 - 1) (E was off by one, or the rounding could
+    carry into an 18th digit).  Uncertified values and non-finite ones go
+    through "%.17g"; signed zeros become "0" / "-0".  The 17 digits are
+    laid out as %g lays them out at precision 17: fixed notation for
+    -4 <= E < 17, else d.ddde+XX, with trailing zeros and a bare point
+    stripped.
+    """
+    chunks, p_hi, p_hi_a, p_hi_b, p_lo, p_shift = _g17_tables()
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    zero = a == 0.0
+    np.copyto(a, 1.0, where=zero | ~finite)
+    e = np.floor(np.log10(a)).astype(np.int32)
+    k = 16 - _POW10_MIN - e
+    xs = np.ldexp(a, p_shift[k])
+    hi_a, hi_b = p_hi_a[k], p_hi_b[k]
+    p = xs * p_hi[k]
+    xs_a, xs_b = _split(xs)
+    err = ((xs_a * hi_a - p) + xs_a * hi_b + xs_b * hi_a) + xs_b * hi_b
+    r = err + xs * p_lo[k]
+    fl = np.floor(r)
+    frac = r - fl
+    n = p.astype(np.int64) + fl.astype(np.int64)
+    fallback = ~finite | (np.abs(frac - 0.5) < _G17_TIE) | (n < 10**16) | (n >= 10**17 - 1)
+    n += frac > 0.5
+    n[zero] = 0
+    e[zero] = 0
+
+    digits = np.empty((17, len(v)), dtype=np.uint8)
+    for row in (13, 9, 5, 1):
+        n, c = np.divmod(n, 10000)
+        digits[row:row + 4] = np.take(chunks, c, axis=1)
+    digits[0] = n + 48
+    j = np.arange(17, dtype=np.uint8)[:, None]
+    last = ((digits != 48) * j).max(axis=0)  # the last nonzero digit; 0 for zeros
+
+    fixed = (e >= -4) & (e < 17)
+    lead = fixed & (e < 0)  # "0.", then -E-1 zeros
+    expo = ~fixed
+    rec = np.zeros((_G17_WIDTH, len(v)), dtype=np.uint8)
+    np.copyto(rec[0], ord("-"), where=np.signbit(v))
+    np.copyto(rec[1], ord("0"), where=lead)
+    np.copyto(rec[2], ord("."), where=lead)
+    np.copyto(rec[3:6], ord("0"), where=lead & (np.arange(3)[:, None] < -1 - e))
+    # digit j in row 6 + 2j, a point after it in row 7 + 2j; fixed notation
+    # keeps the integer part
+    keep = np.where(fixed & (e > last), e, last).astype(np.uint8)
+    np.multiply(digits, j <= keep, out=rec[6:40:2])
+    point = np.where(fixed, e, 0)
+    dot = np.flatnonzero((last > point) & ~lead)
+    rec[7 + 2 * point[dot], dot] = ord(".")
+    ae = np.abs(e)
+    np.copyto(rec[40], ord("e"), where=expo)
+    rec[41] = np.where(expo, np.where(e < 0, ord("-"), ord("+")), 0)
+    rec[42] = np.where(expo & (ae >= 100), 48 + ae // 100, 0)
+    rec[43] = np.where(expo, 48 + ae // 10 % 10, 0)
+    rec[44] = np.where(expo, 48 + ae % 10, 0)
+
+    for i in np.flatnonzero(fallback & ~zero):
+        text = ("%.17g" % v[i]).encode("ascii")
+        rec[:, i] = 0
+        rec[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return rec
+
+
+def _csv_coords(g: Grid2D) -> np.ndarray:
+    """Row i holds "%.17g" % x_i and a comma, padded with NULs."""
+    c = _CSV_COORDS.get(g.M)
+    if c is None:
+        text = [("%.17g," % x).encode("ascii") for x in g.nodes()]
+        c = np.zeros((g.M + 1, max(map(len, text))), dtype=np.uint8)
+        for row, t in zip(c, text):
+            row[:len(t)] = np.frombuffer(t, dtype=np.uint8)
+        c.setflags(write=False)
+        _CSV_COORDS[g.M] = c
+    return c
+
+
 def write_field_csv(path, f: np.ndarray, g: Grid2D):
-    """Plain-text exporter (x, y, u1, u2, u3), row-major, for plotting."""
-    _check_shape(f, g)
-    coords = ["%.17g" % v for v in g.nodes()]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,u1,u2,u3\n")
-        # one format call per node row, coordinates formatted once; a
-        # whole-field list would cost megabytes
-        for x, row in zip(coords, f):
-            line = "".join(f"{x},{y},%.17g,%.17g,%.17g\n" for y in coords)
-            fh.write(line % tuple(row.ravel().tolist()))
+    """Plain-text exporter (x, y, u1, u2, u3), row-major, for plotting.
+
+    Every number is written exactly as "%.17g" writes it.  The values are
+    formatted in numpy, in blocks of _CSV_BLOCK_ROWS node rows: 17
+    correctly rounded digits from an exact product, certified unless the
+    computed fraction lies within _G17_TIE = 1e-9 of 1/2 or the digits
+    leave [10^16, 10^17 - 1).  Each uncertified or non-finite value falls
+    back to "%.17g" itself, so exact ties round half-even as Python does.
+    """
+    if f.shape != g.shape + (3,):
+        raise ValueError(f"expected a {g.shape + (3,)} field, got shape {f.shape}")
+    coords = _csv_coords(g)
+    cw = coords.shape[1]
+    n = g.M + 1
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,u1,u2,u3\n")
+        for i0 in range(0, n, _CSV_BLOCK_ROWS):
+            rows = np.asarray(f[i0:i0 + _CSV_BLOCK_ROWS], dtype=np.float64)
+            nb = rows.shape[0]
+            # each line: x, y, then every value followed by "," or "\n";
+            # the NUL padding is dropped when the block is written
+            block = np.empty((nb, n, 2 * cw + 3 * (_G17_WIDTH + 1)), dtype=np.uint8)
+            block[:, :, :cw] = coords[i0:i0 + nb, None]
+            block[:, :, cw:2 * cw] = coords
+            vals = block[:, :, 2 * cw:].reshape(nb, n, 3, _G17_WIDTH + 1)
+            vals[..., :-1] = _g17(rows.reshape(-1)).T.reshape(nb, n, 3, _G17_WIDTH)
+            vals[..., :2, -1] = ord(",")
+            vals[..., 2, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))

@@ -1,11 +1,15 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from wavemaps import Grid2D, cross, dirichlet_form, dot, gradient_sq, \
-    integrate, laplacian, lp_norm, magnitude, read_field, write_field, \
-    write_field_csv
+from wavemaps import Grid2D, RunConfig, cross, dirichlet_form, dot, gradient_sq, \
+    initial_data, integrate, laplacian, lp_norm, magnitude, read_field, run, \
+    write_field, write_field_csv
 from wavemaps import grid as gr
 
 from conftest import smooth_scalar, smooth_vec
@@ -371,3 +375,84 @@ def test_reductions_close_to_exact_sum_and_repeatable(M, vector):
     m = magnitude(f)
     for p in (1.0, 2.0, 4.0):
         check(lambda p=p: lp_norm(f, p, g) ** p, (wts * m**p).ravel().tolist(), hh)
+
+
+def g17_texts(values):
+    """What the numpy "%.17g" kernel writes for each value."""
+    rec = gr._g17(np.asarray(values, dtype=np.float64))
+    return [col[col != 0].tobytes().decode("ascii") for col in rec.T]
+
+
+def per_node_csv(f, g):
+    """The reference rendering: one "%.17g" call per number."""
+    x = g.nodes()
+    lines = ["x,y,u1,u2,u3\n"]
+    for i in range(g.M + 1):
+        for j in range(g.M + 1):
+            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                         % (x[i], x[j], f[i, j, 0], f[i, j, 1], f[i, j, 2]))
+    return "".join(lines).encode("ascii")
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(2**-25)  # exact ties: 18 significant digits ending in 5
+@example(1 + 2**-17)
+@example(1 + 3 * 2**-17)
+@example(1e-06)  # the edges of fixed notation
+@example(1e-05)
+@example(1e16)
+@example(1e17)
+@example(9.999999999999999e16)
+@example(1e300)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_g17_kernel_matches_percent_format(v):
+    assert g17_texts([v]) == ["%.17g" % v]
+
+
+def test_g17_kernel_matches_percent_format_on_bit_patterns_and_dyadics():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=10000, dtype=np.uint64).view(np.float64)
+    mant = rng.integers(1, 2**20, size=10000).astype(np.float64)
+    dyadic = np.ldexp(mant, rng.integers(-1074, 1004, size=10000))
+    dyadic[::2] *= -1.0
+    values = np.concatenate([bits, dyadic])
+    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_field_csv_of_problem_data_matches_per_node_loop(tmp_path):
+    g = Grid2D(128)
+    u, _ = initial_data(g)
+    path = tmp_path / "u.csv"
+    write_field_csv(path, u, g)
+    assert path.read_bytes() == per_node_csv(u, g)
+
+
+def test_snapshot_csvs_render_their_field_dumps(tmp_path):
+    run(RunConfig(M=16, mode="fixed", tau=2.0**-8, t_end=2.0**-5, out_dir=str(tmp_path)))
+    g = Grid2D(16)
+    dumps = sorted(tmp_path.glob("snap_*_u.wmf"))
+    assert len(dumps) == 8
+    for dump in dumps:
+        csv = dump.with_suffix(".csv")
+        assert csv.read_bytes() == per_node_csv(read_field(dump), g), csv.name
+
+
+def test_field_csv_writer_memory_is_bounded_by_its_block():
+    g = Grid2D(128)
+    u, _ = initial_data(g)
+    write_field_csv(os.devnull, u, g)  # builds the tables and coordinates once
+    tracemalloc.start()
+    try:
+        write_field_csv(os.devnull, u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-field version peaks near 10 MB; one block of node rows stays small
+    assert peak <= 1.5e6
