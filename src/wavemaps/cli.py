@@ -21,8 +21,7 @@ from .scheme import SolverConfig
 _CONFIG_KEYS = {
     "grid", "mode", "tau", "tend", "strategy", "tol0", "out", "initial",
     "fp_tol", "fp_max_iter", "unit_tol", "c_q", "p_exp", "b0",
-    "grow", "shrink", "safety", "tau_min", "tau_max", "snapshots",
-    "eoc_taus", "tau_ref", "dump_residuals",
+    "grow", "shrink", "safety", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
 }
 
 _DEFAULT_EOC_TAUS = "2^-7,2^-8,2^-9,2^-10"
@@ -81,7 +80,6 @@ def _merge(args) -> dict:
 _PARSERS = {
     "grid": int, "fp_max_iter": int, "mode": str, "strategy": str, "initial": str, "out": str,
     "snapshots": lambda text: tuple(_parse_number(tok) for tok in text.split(",")),
-    "dump_residuals": lambda text: text.lower() in ("1", "true", "yes", "on"),
 }
 # config keys named differently from their RunConfig field
 _FIELD_NAMES = {"grid": "M", "tend": "t_end", "out": "out_dir", "snapshots": "snapshot_times"}

@@ -232,7 +232,6 @@ class EstimatorState:
     """
 
     b0: float = 0.0
-    j: int = field(default=0, init=False)
     B_j: float = field(init=False)
     log_B: float = field(init=False)
     A_total: float = field(default=0.0, init=False)
@@ -254,5 +253,4 @@ def accumulate(state: EstimatorState, int_alpha: float, int_delta: float) -> Est
     state.log_B = float(np.logaddexp(state.log_B, log_a)) + 0.5 * int_delta
     state.A_total += int_alpha
     state.D_total += int_delta
-    state.j += 1
     return state

@@ -50,18 +50,13 @@ class Grid2D:
         return np.meshgrid(x, x, indexing="ij")
 
 
-_WEIGHTS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def trapezoid_weights(g: Grid2D) -> np.ndarray:
     """Tensor-product trapezoid weights: 1 inside, 1/2 on edges, 1/4 at corners."""
-    w = _WEIGHTS.get(g.M)
-    if w is None:
-        w1 = np.ones(g.M + 1)
-        w1[0] = w1[-1] = 0.5
-        w = np.outer(w1, w1)
-        w.setflags(write=False)
-        _WEIGHTS[g.M] = w
+    w1 = np.ones(g.M + 1)
+    w1[0] = w1[-1] = 0.5
+    w = np.outer(w1, w1)
+    w.setflags(write=False)
     return w
 
 
@@ -277,7 +272,6 @@ _G17_WIDTH = 45  # sign, "0.000", 17 digit and point slots, "e+308"
 _G17_TIE = 1e-9  # a fraction this close to 1/2 is not certified
 _POW10_MIN = -292  # 10^k for k = 16 - E, E = -324..308 and one to spare
 _POW10_MAX = 341
-_CSV_COORDS: dict[int, np.ndarray] = {}
 
 
 def _split(a):
@@ -393,16 +387,14 @@ def _g17(v: np.ndarray) -> np.ndarray:
     return rec
 
 
+@functools.cache
 def _csv_coords(g: Grid2D) -> np.ndarray:
     """Row i holds "%.17g" % x_i and a comma, padded with NULs."""
-    c = _CSV_COORDS.get(g.M)
-    if c is None:
-        text = [("%.17g," % x).encode("ascii") for x in g.nodes()]
-        c = np.zeros((g.M + 1, max(map(len, text))), dtype=np.uint8)
-        for row, t in zip(c, text):
-            row[:len(t)] = np.frombuffer(t, dtype=np.uint8)
-        c.setflags(write=False)
-        _CSV_COORDS[g.M] = c
+    text = [("%.17g," % x).encode("ascii") for x in g.nodes()]
+    c = np.zeros((g.M + 1, max(map(len, text))), dtype=np.uint8)
+    for row, t in zip(c, text):
+        row[:len(t)] = np.frombuffer(t, dtype=np.uint8)
+    c.setflags(write=False)
     return c
 
 

@@ -45,7 +45,6 @@ from .adapt import FIXED, AdaptiveController, decide
 from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
                         delta_hat, local_quantities, residual_bounds)
 from .grid import Grid2D
-from .reconstruct import eval_residuals
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
                      endpoint_terms, energy, initial_data, rotation_data, step)
 
@@ -97,7 +96,6 @@ class RunConfig:
     out_dir: str | None = None
     snapshot_times: tuple | None = None  # None -> DEFAULT_SNAPSHOT_FRACTIONS * t_end
     store_times: tuple = ()  # keep (t, u, w) in memory at these times
-    dump_residuals: bool = False  # debug: residual samples next to each snapshot
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
@@ -129,7 +127,6 @@ class RunConfig:
 @dataclass
 class Trajectory:
     grid: Grid2D
-    times: list  # accepted step end times, starting after t=0
     states: list  # stored (t, u, w) triples
     est: EstimatorState
     controller_rows: list  # per attempt: (t_attempt, tau, decision, tolerance used, density)
@@ -186,7 +183,7 @@ def run(cfg: RunConfig) -> Trajectory:
     energies: list = []
     devs: list = []  # (max||u|-1|, max|u.w|) of every kept state
 
-    def keep(t, tau, u, w, terms, rec=None):
+    def keep(t, tau, u, w, terms):
         """Diagnostics, stores and snapshots of the initial or an accepted state."""
         energies.append(energy(u, w, g))
         devs.append(_check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol))
@@ -196,8 +193,6 @@ def run(cfg: RunConfig) -> Trajectory:
         first = n_snaps - len(snaps)  # snapshots written so far
         for index in range(first, first + len(_pop_reached(snaps, t))):
             _write_snapshot(cfg.out_dir, index, t, tau, u, w, g)
-            if cfg.dump_residuals and rec is not None:
-                _write_residual_dump(cfg.out_dir, index, rec, g)
 
     tau = cfg.tau
     t = 0.0
@@ -217,6 +212,7 @@ def run(cfg: RunConfig) -> Trajectory:
             iterations = exc.iterations
         else:
             terms1 = endpoint_terms(u1, w1, g)
+            # held until the next attempt rebinds it: freeing it sooner slowed M = 128 runs
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
                              w_n=w, w_np1=w1, ends=(terms, terms1))
             ok, a_j, d_j = _rates(rec, tau_eff, cfg.solver, g)
@@ -243,12 +239,11 @@ def run(cfg: RunConfig) -> Trajectory:
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
         u, w, terms, t = u1, w1, terms1, t_new
-        keep(t, tau_eff, u, w, terms, rec)
+        keep(t, tau_eff, u, w, terms)
 
     traj = Trajectory(
-        grid=g, times=[row[0] for row in estimator_rows], states=states, est=est,
-        controller_rows=controller_rows, fp_iterations=fp_iterations,
-        estimator_rows=estimator_rows,
+        grid=g, states=states, est=est, controller_rows=controller_rows,
+        fp_iterations=fp_iterations, estimator_rows=estimator_rows,
         energies=energies, unit_dev_max=max(d for d, _ in devs),
         orth_dev_max=max(d for _, d in devs), n_accepted=len(estimator_rows),
         n_rejected=len(controller_rows) - len(estimator_rows),
@@ -397,14 +392,6 @@ def _write_snapshot(out_dir, index, t, tau, u, w, g):
     gr.write_field_csv(os.path.join(out_dir, f"snap_{tag}_u.csv"), u, g)
     with open(os.path.join(out_dir, f"snap_{tag}.txt"), "w") as fh:
         fh.write(f"t={_fmt(t)} tau={_fmt(tau)}\n")
-
-
-def _write_residual_dump(out_dir, index, rec, g):
-    # debug aid: sample the residual parts at the interval midpoint
-    s = eval_residuals(rec, rec.t_n + 0.5 * rec.tau)
-    tag = f"{index:03d}"
-    for name, field_ in (("ru", s.r_u), ("rw", s.r_w), ("rg", s.r_g)):
-        gr.write_field_csv(os.path.join(out_dir, f"resid_{tag}_{name}.csv"), field_, g)
 
 
 def write_eoc_csv(path, rows):

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -456,3 +458,17 @@ def test_field_csv_writer_memory_is_bounded_by_its_block():
         tracemalloc.stop()
     # a whole-field version peaks near 10 MB; one block of node rows stays small
     assert peak <= 1.5e6
+
+
+def test_grid_caches_start_empty_and_hold_read_only_arrays():
+    # a fresh interpreter: importing the package builds no table
+    src = os.path.dirname(os.path.dirname(gr.__file__))
+    probe = ("import wavemaps; from wavemaps import grid as gr; print(*(f.cache_info().currsize "
+             "for f in (gr.trapezoid_weights, gr._csv_coords, gr._g17_tables)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["0", "0", "0"]
+    for cached in (gr.trapezoid_weights, gr._csv_coords):
+        a = cached(Grid2D(12))
+        assert cached(Grid2D(12)) is a  # equal grids share one entry
+        assert not a.flags.writeable

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -17,7 +19,7 @@ from test_scheme import cayley_apply, jacobi_step
 
 def mk_traj(g, states):
     z = np.zeros(g.shape + (3,))
-    return Trajectory(grid=g, times=[t for t, _, _ in states[1:]], states=states,
+    return Trajectory(grid=g, states=states,
                       est=EstimatorState(), controller_rows=[], fp_iterations=[],
                       estimator_rows=[],
                       energies=[0.0], unit_dev_max=0.0, orth_dev_max=0.0,
@@ -54,9 +56,10 @@ def test_fixed_run_times_are_exact_dyadic_multiples():
     cfg = RunConfig(M=8, mode="fixed", tau=2.0**-4, t_end=0.2, initial="constant")
     traj = run(cfg)
     # 3 full steps land on k*2^-4, the clamped final step lands on 0.2 exactly
-    assert traj.times[:3] == [2.0**-4, 2.0 * 2.0**-4, 3.0 * 2.0**-4]
-    assert traj.times[-1] == 0.2
-    assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+    times = [row[0] for row in traj.estimator_rows]
+    assert times[:3] == [2.0**-4, 2.0 * 2.0**-4, 3.0 * 2.0**-4]
+    assert times[-1] == 0.2
+    assert all(b > a for a, b in zip(times, times[1:]))
     assert traj.final_t >= 0.2 - cfg.tau_min
 
 
@@ -128,17 +131,6 @@ def test_store_times_keep_only_states_the_run_lands_on():
                     store_times=(0.0, 2.0**-5, 0.05, 2.0**-3))
     traj = run(cfg)
     assert [t for t, _, _ in traj.states] == [0.0, 2.0**-5, 2.0**-3]
-
-
-def test_debug_residual_dumps(tmp_path):
-    out = tmp_path / "dbg"
-    cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="problem",
-                    out_dir=str(out), snapshot_times=(0.04,), dump_residuals=True)
-    run(cfg)
-    for name in ("ru", "rw", "rg"):
-        f = out / f"resid_000_{name}.csv"
-        assert f.exists()
-        assert f.read_text().splitlines()[0] == "x,y,u1,u2,u3"
 
 
 def test_reruns_are_bit_identical(tmp_path):
@@ -414,12 +406,24 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert "t=0.05" in (out / "final.txt").read_text()
 
 
-def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["warp_factor = 9", "dump_residuals = 1"])
+def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("grid = 8\nwarp_factor = 9\n")
+    cfgfile.write_text(f"grid = 8\n{line}\n")
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 3
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_readme_documents_exactly_the_config_keys():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [body for lang, body in re.findall(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S)
+              if not lang]
+    in_block = [line.split("=")[0].strip() for line in blocks[0].splitlines() if "=" in line]
+    further = re.findall(r"`(\w+)`", re.search(r"Further keys:(.*?)\.\s", text, re.S).group(1))
+    documented = in_block + further
+    assert len(documented) == len(set(documented))
+    assert set(documented) == cli._CONFIG_KEYS
 
 
 def test_cli_step_floor_exit_code(tmp_path):
