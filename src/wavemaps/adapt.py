@@ -55,7 +55,7 @@ class AdaptiveController:
             raise ValueError("need 0 < safety < 1")
         if not self.tau_max > 0.0:
             raise ValueError("tau_max must be positive")
-        if self.tol0 <= 0.0:
+        if not self.tol0 > 0.0:
             raise ValueError("tol0 must be positive")
 
 

@@ -20,7 +20,7 @@ from .scheme import SolverConfig
 
 _CONFIG_KEYS = {
     "grid", "mode", "tau", "tend", "strategy", "tol0", "out", "initial",
-    "fp_tol", "fp_max_iter", "unit_tol", "c_q", "p_exp", "b0",
+    "fp_tol", "fp_max_iter", "unit_tol",
     "grow", "shrink", "safety", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
 }
 

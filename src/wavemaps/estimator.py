@@ -18,12 +18,13 @@ reconstruction, valid uniformly on the interval.  The bounds feed two
 scalar rates:
 
     alpha_hat = ||bd_rg + bd_ru * W + bd_rw||_2 + ||bd_ru||_2 + ||bd_grad_ru||_2
-    delta_hat = 1 + c_q ||G^2 + W^2||_p + 2 c_q ||W||_2p^2
-                + 2 c_q ||G||_2p ||W||_2p + 4 ||W||_inf
+    delta_hat = 1 + C_Q ||G^2 + W^2||_p + 2 C_Q ||W||_2p^2
+                + 2 C_Q ||G||_2p ||W||_2p + 4 ||W||_inf
 
 with the majorants W = C_w + tau * B_w >= |wtilde| (hence >= |utilde x wtilde|)
-and G = 2 (C_u_x + tau * B_u_x) >= |grad utilde|.  The total bound obeys
-the recurrence
+and G = 2 (C_u_x + tau * B_u_x) >= |grad utilde|.  The exponent p = P_EXP
+and the embedding constant C_Q are fixed by the stability estimate, not
+settings.  The total bound obeys the recurrence
 
     B_j = (B_{j-1} + int_alpha_j) * exp(int_delta_j / 2),
 
@@ -38,7 +39,12 @@ import numpy as np
 
 from . import grid as gr
 from .grid import Grid2D
-from .scheme import SolverConfig, StepRecord
+from .scheme import StepRecord
+
+# the squared Sobolev embedding constant C_Q belongs to the exponent P_EXP > 2
+# of the stability estimate; changing either alone voids the bound
+C_Q = 4.0
+P_EXP = 4.0
 
 class SmallnessViolated(Exception):
     """A_u^2 + tau * B_u reached 1/4 somewhere; the step size must be reduced."""
@@ -205,19 +211,18 @@ def alpha_hat(rbf: ResidualBoundFields, lb: LocalBounds, tau: float, g: Grid2D) 
     )
 
 
-def delta_hat(lb: LocalBounds, tau: float, cfg: SolverConfig, g: Grid2D) -> float:
+def delta_hat(lb: LocalBounds, tau: float, g: Grid2D) -> float:
     """Interval-uniform upper bound for the Gronwall rate delta."""
     W = lb.C_w + tau * lb.B_w
     G = 2.0 * (lb.C_u_x + tau * lb.B_u_x)
     A_hat = G * G + W * W
-    p = cfg.p_exp
-    norm_W = gr.lp_norm(W, 2.0 * p, g)
-    norm_G = gr.lp_norm(G, 2.0 * p, g)
+    norm_W = gr.lp_norm(W, 2.0 * P_EXP, g)
+    norm_G = gr.lp_norm(G, 2.0 * P_EXP, g)
     return (
         1.0
-        + cfg.c_q * gr.lp_norm(A_hat, p, g)
-        + 2.0 * cfg.c_q * norm_W**2
-        + 2.0 * cfg.c_q * norm_G * norm_W
+        + C_Q * gr.lp_norm(A_hat, P_EXP, g)
+        + 2.0 * C_Q * norm_W**2
+        + 2.0 * C_Q * norm_G * norm_W
         + 4.0 * gr.lp_norm(W, math.inf, g)
     )
 

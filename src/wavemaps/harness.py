@@ -90,7 +90,6 @@ class RunConfig:
     t_end: float = 0.2
     solver: SolverConfig = field(default_factory=SolverConfig)
     controller: AdaptiveController | None = None  # adaptive only; None -> defaults
-    b0: float = 0.0  # initial value of the accumulated bound
     initial: str = "problem"  # "problem" | "constant" | "rotation"
     tau_min: float = 2.0**-20  # step floor of both modes: a retry below it stops the run
     out_dir: str | None = None
@@ -102,16 +101,16 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.initial not in _INITIAL_DATA:
             raise ConfigError(f"unknown initial data {self.initial!r}")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be positive")
-        if self.b0 < 0.0:
-            raise ConfigError("b0 must be nonnegative")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError("t_end must be positive and finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError("tau must be positive and finite")
         if self.M < 2:
             raise ConfigError("M must be at least 2")
-        if not self.tau_min > 0.0:
-            raise ConfigError("tau_min must be positive")
+        if not 0.0 < self.tau_min < self.t_end:  # else the run takes no step
+            raise ConfigError("need 0 < tau_min < t_end")
+        if self.snapshot_times is not None and not all(map(math.isfinite, self.snapshot_times)):
+            raise ConfigError("snapshot times must be finite")  # a NaN breaks their order
         if self.mode == "fixed":
             if self.controller is not None:
                 raise ConfigError("fixed mode takes no controller; its step floor is tau_min")
@@ -135,11 +134,17 @@ class Trajectory:
     energies: list  # E at t=0 and after every accepted step
     unit_dev_max: float
     orth_dev_max: float
-    n_accepted: int  # len(estimator_rows)
-    n_rejected: int  # len(controller_rows) - len(estimator_rows)
     final_t: float
     final_u: np.ndarray
     final_w: np.ndarray
+
+    @property
+    def n_accepted(self) -> int:
+        return len(self.estimator_rows)
+
+    @property
+    def n_rejected(self) -> int:
+        return len(self.controller_rows) - len(self.estimator_rows)
 
     @property
     def energy_drift(self) -> float:
@@ -165,7 +170,7 @@ def _pop_reached(pending: list, t: float) -> list:
 def run(cfg: RunConfig) -> Trajectory:
     """Drive one full simulation; returns the trajectory with all diagnostics."""
     g = Grid2D(cfg.M)
-    est = EstimatorState(b0=cfg.b0)
+    est = EstimatorState()  # B_0 = 0: the run starts from the exact initial datum
     ctrl = cfg.controller if cfg.mode == "adaptive" else _FIXED_CONTROLLER
     tol = ctrl.tol0  # the updated strategy grows it on every accept
 
@@ -215,7 +220,7 @@ def run(cfg: RunConfig) -> Trajectory:
             # held until the next attempt rebinds it: freeing it sooner slowed M = 128 runs
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
                              w_n=w, w_np1=w1, ends=(terms, terms1))
-            ok, a_j, d_j = _rates(rec, tau_eff, cfg.solver, g)
+            ok, a_j, d_j = _rates(rec, tau_eff, g)
 
         decision = decide(ctrl, tau_eff, a_j, d_j, ok, tol)
         controller_rows.append(
@@ -245,16 +250,14 @@ def run(cfg: RunConfig) -> Trajectory:
         grid=g, states=states, est=est, controller_rows=controller_rows,
         fp_iterations=fp_iterations, estimator_rows=estimator_rows,
         energies=energies, unit_dev_max=max(d for d, _ in devs),
-        orth_dev_max=max(d for _, d in devs), n_accepted=len(estimator_rows),
-        n_rejected=len(controller_rows) - len(estimator_rows),
-        final_t=t, final_u=u, final_w=w,
+        orth_dev_max=max(d for _, d in devs), final_t=t, final_u=u, final_w=w,
     )
     if cfg.out_dir is not None:
         _write_outputs(cfg, traj)
     return traj
 
 
-def _rates(rec, tau, solver, g):
+def _rates(rec, tau, g):
     """(smallness holds, alpha_hat, delta_hat) of one solved attempt.
 
     The local quantities and bound fields die with this call, so they are
@@ -264,7 +267,7 @@ def _rates(rec, tau, solver, g):
     if not check_smallness(lb, tau):
         return False, 0.0, 0.0
     rbf = residual_bounds(lb, tau)
-    return True, alpha_hat(rbf, lb, tau, g), delta_hat(lb, tau, solver, g)
+    return True, alpha_hat(rbf, lb, tau, g), delta_hat(lb, tau, g)
 
 
 def _check_constraints(t, u, w, mag_w, unit_tol):

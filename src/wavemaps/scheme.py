@@ -40,33 +40,25 @@ class NonConvergence(Exception):
 
 @dataclass
 class SolverConfig:
-    """Nonlinear-solver and estimator constants.
+    """Nonlinear-solver settings.
 
     fp_tol      max-norm change of both iterates at which the iteration stops
     fp_max_iter iteration cap; reaching it raises NonConvergence
     unit_tol    tolerance for the |u| = 1 and u . w = 0 node constraints,
                 enforced on every state a run accepts
-    c_q         squared Sobolev embedding constant entering the growth rate
-    p_exp       exponent p > 2 used in the growth-rate norms
     """
 
     fp_tol: float = 1e-12
     fp_max_iter: int = 200
     unit_tol: float = 1e-9
-    c_q: float = 4.0
-    p_exp: float = 4.0
 
     def __post_init__(self):
-        if self.fp_tol <= 0.0:
-            raise ValueError("fp_tol must be positive")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise ValueError("fp_tol must be positive and finite")
         if self.fp_max_iter < 1:
             raise ValueError("fp_max_iter must be at least 1")
-        if self.unit_tol <= 0.0:
-            raise ValueError("unit_tol must be positive")
-        if self.c_q <= 0.0:
-            raise ValueError("c_q must be positive")
-        if self.p_exp <= 2.0:
-            raise ValueError("p_exp must exceed 2")
+        if not 0.0 < self.unit_tol < math.inf:  # inf would not enforce the constraints
+            raise ValueError("unit_tol must be positive and finite")
 
 
 @dataclass

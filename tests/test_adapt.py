@@ -127,6 +127,12 @@ def test_decisions_deterministic():
     assert outs[0] == outs[1]
 
 
+def test_controller_rejects_nan_tol0():
+    # every density compares false against a NaN tolerance, so no step would be rejected
+    with pytest.raises(ValueError, match="tol0"):
+        AdaptiveController(tol0=math.nan)
+
+
 def test_controller_validation():
     with pytest.raises(ValueError):
         AdaptiveController(strategy="nonsense")

@@ -142,11 +142,10 @@ def test_alpha_hat_trivial_values():
 
 
 def test_delta_hat_trivial_and_constant_values():
-    cfg = SolverConfig(c_q=1.0, p_exp=4.0)
-    assert abs(delta_hat(const_bounds(G), 0.1, cfg, G) - 1.0) < 1e-14
-    # W == 1, G == 0: 1 + |W^2|_p + 2 |W|_2p^2 + 0 + 4 |W|_inf = 8
+    assert abs(delta_hat(const_bounds(G), 0.1, G) - 1.0) < 1e-14
+    # W == 1, G == 0: 1 + C_Q |W^2|_p + 2 C_Q |W|_2p^2 + 0 + 4 |W|_inf = 17 with C_Q = 4
     lb = const_bounds(G, C_w=1.0)
-    assert abs(delta_hat(lb, 0.1, cfg, G) - 8.0) < 1e-12
+    assert abs(delta_hat(lb, 0.1, G) - 17.0) < 1e-12
 
 
 def test_bound_monotonicity_in_local_quantities():
@@ -155,7 +154,7 @@ def test_bound_monotonicity_in_local_quantities():
     lb = local_quantities(rec, G)
     rbf0 = residual_bounds(lb, tau)
     a0 = alpha_hat(rbf0, lb, tau, G)
-    d0 = delta_hat(lb, tau, CFG, G)
+    d0 = delta_hat(lb, tau, G)
     for f in dataclasses.fields(LocalBounds):
         bumped = dataclasses.replace(lb, **{f.name: getattr(lb, f.name) * 1.3 + 0.01})
         if not check_smallness(bumped, tau):
@@ -165,7 +164,7 @@ def test_bound_monotonicity_in_local_quantities():
             assert np.all(getattr(rbf1, bf.name) >= getattr(rbf0, bf.name) - 1e-15), \
                 f"{bf.name} decreased when {f.name} grew"
         assert alpha_hat(rbf1, bumped, tau, G) >= a0 - 1e-13
-        assert delta_hat(bumped, tau, CFG, G) >= d0 - 1e-13
+        assert delta_hat(bumped, tau, G) >= d0 - 1e-13
 
 
 def test_halving_tau_halves_differences_and_quarters_alpha():

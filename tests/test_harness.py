@@ -23,7 +23,6 @@ def mk_traj(g, states):
                       est=EstimatorState(), controller_rows=[], fp_iterations=[],
                       estimator_rows=[],
                       energies=[0.0], unit_dev_max=0.0, orth_dev_max=0.0,
-                      n_accepted=len(states) - 1, n_rejected=0,
                       final_t=states[-1][0] if states else 0.0, final_u=z, final_w=z)
 
 
@@ -378,6 +377,35 @@ def test_run_config_validation():
         RunConfig(mode="adaptive", tau_min=1.0, controller=AdaptiveController(tau_max=0.5))
 
 
+@pytest.mark.parametrize("key", ["tau", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_config_rejects_nonfinite_times(key, value):
+    # a NaN or infinite step never reaches t_end, and t_end = nan takes no step
+    # at all and would report B_N = 0 for an unknown error
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("tau_min", [0.2, 1.0, math.inf])
+def test_run_config_rejects_tau_min_at_or_above_t_end(tau_min):
+    # the step loop runs while t_end - t > tau_min: such a run takes no step
+    with pytest.raises(ConfigError, match="tau_min < t_end"):
+        RunConfig(t_end=0.2, tau_min=tau_min)
+
+
+@pytest.mark.parametrize("times", [(0.01, math.nan), (math.inf,)])
+def test_run_config_rejects_nonfinite_snapshot_times(times):
+    # a NaN breaks the sorted schedule: the snapshot for t = 0.01 would be written at t = 0
+    with pytest.raises(ConfigError, match="snapshot times"):
+        RunConfig(snapshot_times=times)
+
+
+def test_run_config_rejects_tau_min_above_tau_max():
+    with pytest.raises(ConfigError, match="tau_min <= tau_max"):
+        RunConfig(mode="adaptive", t_end=1.0, tau_min=0.1,
+                  controller=AdaptiveController(tau_max=0.05))
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -406,7 +434,8 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert "t=0.05" in (out / "final.txt").read_text()
 
 
-@pytest.mark.parametrize("line", ["warp_factor = 9", "dump_residuals = 1"])
+@pytest.mark.parametrize("line", ["warp_factor = 9", "dump_residuals = 1",
+                                  "c_q = 1", "p_exp = 3", "b0 = 0.5"])
 def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"grid = 8\n{line}\n")
@@ -487,7 +516,15 @@ def test_cli_eoc_mode(tmp_path, capsys):
     assert "eoc_w" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line", ["strategy = nonsense", "tau_min = -1", "b0 = -5"])
+@pytest.mark.parametrize("mode", ["fixed", "eoc"])
+def test_cli_rejects_nan_tend(capsys, mode):
+    rc = cli.main(["--mode", mode, "--grid", "8", "--tend", "nan"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("line", ["strategy = nonsense", "tau_min = -1", "grid = 1"])
 def test_cli_eoc_mode_rejects_invalid_run_keys(tmp_path, capsys, line):
     cfgfile = tmp_path / "eoc.cfg"
     cfgfile.write_text(f"grid = 8\nmode = eoc\n{line}\n")
