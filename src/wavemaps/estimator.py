@@ -33,7 +33,7 @@ because the bounds are constant on each interval.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,29 +93,42 @@ class ResidualBoundFields:
 
 
 def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
-    """Assemble every node-wise quantity entering the residual bounds."""
+    """Assemble every node-wise quantity entering the residual bounds.
+
+    One difference buffer holds du, dw, P, Q and dlap in turn.  Each is
+    mirror-padded once, and its magnitudes are written straight into the
+    LocalBounds arrays; P's pad serves |grad P| first and then lap P.
+    Every field equals the allocating operators' result bit for bit.
+    """
     e0, e1 = rec.ends
-    du = rec.u_np1 - rec.u_n
-    dw = rec.w_np1 - rec.w_n
-    dlap = e1.lap_u - e0.lap_u
-    P = e1.u_x_w - e0.u_x_w
-    Q = e1.lap_u_x_u - e0.lap_u_x_u
-    return LocalBounds(
-        A_u=gr.magnitude(du),
-        A_u_x=gr.grad_magnitude(du, g),
-        A_u_xx=gr.magnitude(dlap),
-        A_w=gr.magnitude(dw),
-        A_w_x=gr.grad_magnitude(dw, g),
-        B_u=gr.magnitude(P),
-        B_u_x=gr.grad_magnitude(P, g),
-        B_u_xx=gr.magnitude(gr.laplacian(P, g)),
-        B_w=gr.magnitude(Q),
-        B_w_x=gr.grad_magnitude(Q, g),
-        C_w=np.maximum(e0.mag_w, e1.mag_w),
-        C_u_x=np.maximum(e0.grad_u, e1.grad_u),
-        C_w_x=np.maximum(e0.grad_w, e1.grad_w),
-        C_u_xx=np.maximum(e0.mag_lap_u, e1.mag_lap_u),
-    )
+    shape = rec.u_n.shape
+    lb = LocalBounds(**{f.name: np.empty(shape[:2]) for f in fields(LocalBounds)})
+    d, fx = np.empty(shape), np.empty(shape)
+    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
+
+    def magnitudes(a, a_x=None):
+        """|d| into a and, when asked, |grad d| into a_x; d is free once padded."""
+        gr.magnitude(d, out=a, tmp=fx)
+        if a_x is not None:
+            gr.grad_magnitude_of_pad(gr.mirror_pad(d, pad), g, out=a_x, fx=fx, fy=d)
+
+    np.subtract(rec.u_np1, rec.u_n, out=d)
+    magnitudes(lb.A_u, lb.A_u_x)
+    np.subtract(rec.w_np1, rec.w_n, out=d)
+    magnitudes(lb.A_w, lb.A_w_x)
+    np.subtract(e1.u_x_w, e0.u_x_w, out=d)  # P
+    magnitudes(lb.B_u, lb.B_u_x)
+    gr.laplacian_of_pad(pad, g, out=d)
+    magnitudes(lb.B_u_xx)
+    np.subtract(e1.lap_u_x_u, e0.lap_u_x_u, out=d)  # Q
+    magnitudes(lb.B_w, lb.B_w_x)
+    np.subtract(e1.lap_u, e0.lap_u, out=d)
+    magnitudes(lb.A_u_xx)
+    np.maximum(e0.mag_w, e1.mag_w, out=lb.C_w)
+    np.maximum(e0.grad_u, e1.grad_u, out=lb.C_u_x)
+    np.maximum(e0.grad_w, e1.grad_w, out=lb.C_w_x)
+    np.maximum(e0.mag_lap_u, e1.mag_lap_u, out=lb.C_u_xx)
+    return lb
 
 
 def check_smallness(lb: LocalBounds, tau: float) -> bool:
@@ -131,61 +144,87 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     B_w, B_w_x = lb.B_w, lb.B_w_x
     C_w, C_u_x, C_w_x, C_u_xx = lb.C_w, lb.C_u_x, lb.C_w_x, lb.C_u_xx
 
-    # shared subexpressions; a product like C_w * tau * B_u is (C_w * tau) * B_u
-    # and keeps its own rounding, so only standalone tau * B products are reused
+    # Every repeated subexpression is evaluated once, with the association
+    # of the formula as written: C_w * tau * B_u is (C_w * tau) * B_u and
+    # keeps its own rounding, so only identical trees are shared, and
+    # (tau**2 * B_u) * B_u_x and (tau**2 * B_u_x) * B_u stay apart.  Sums
+    # accumulate in place, and each shared field is deleted after its last
+    # use: the call's peak memory stays below that of local_quantities.
     A_u2 = A_u**2
     tB_u = tau * B_u
-    tB_u_x = tau * B_u_x
     tB_w = tau * B_w
-    if not np.all(A_u2 + tB_u < 0.25):
+    small = A_u2 + tB_u
+    if not np.all(small < 0.25):
         raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
 
-    bd_ru1 = tB_w + C_w * A_u2 + C_w * tau * B_u + 0.25 * A_u * A_w
-
-    bd_grad_ru1 = (
-        (C_u_x + tB_u_x) * (tB_w + C_w * A_u2)
-        + tau * B_w_x
-        + C_w * (A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u * B_u_x)
-        + A_u2 * C_w_x
-        + tB_u_x * C_w
-        + tB_u * C_w_x
-        + A_u_x * A_w
-        + A_u * A_w_x
-    )
+    # S bounds |utilde . wtilde| on the interval
+    S = tB_w + C_w * small
+    del small
+    S += A_u * A_w
+    bd_rg = (C_w + tB_w) * S
+    bd_rg += S**2
+    del S
 
     bd_ru2 = 0.25 * A_u * A_w
-    bd_grad_ru2 = 0.25 * (A_u_x * A_w + A_u * A_w_x)
+    X = tB_w + C_w * A_u2
+    del tB_w
+    bd_ru1 = X + C_w * tau * B_u
+    bd_ru1 += bd_ru2
+
+    tB_u_x = tau * B_u_x
+    Gx = C_u_x + tB_u_x
+    A_x = A_u_x * A_u + tB_u_x
+    A_xC = A_x + C_u_x * tau * B_u
+    AxW = A_u_x * A_w
+    AWx = A_u * A_w_x
+    bd_grad_ru1 = Gx * X
+    del X
+    bd_grad_ru1 += tau * B_w_x
+    bd_grad_ru1 += C_w * (A_xC + tau**2 * B_u * B_u_x)
+    bd_grad_ru1 += A_u2 * C_w_x
+    bd_grad_ru1 += tB_u_x * C_w
+    del tB_u_x
+    bd_grad_ru1 += tB_u * C_w_x
+    bd_grad_ru1 += AxW
+    bd_grad_ru1 += AWx
+    bd_grad_ru2 = AxW
+    bd_grad_ru2 += AWx
+    bd_grad_ru2 *= 0.25
+    del AxW, AWx
+
+    t2B_u_xB_u = tau**2 * B_u_x * B_u
+    bd_rw = (C_u_xx + tau * B_u_xx) * ((7.0 / 3.0) * A_u2 + (11.0 / 3.0) * tau * B_u)
+    bd_rw += 2.25 * A_u_xx * A_u
+    bd_rw += A_u_x**2
+    A_x += (1.0 + C_u_x) * tau * B_u
+    A_x += t2B_u_xB_u
+    A_x *= 2.0 * Gx
+    bd_rw += A_x
+    del A_x, Gx
 
     proj_defect = (4.0 / 3.0) * A_u2 + (8.0 / 3.0) * tau * B_u
-    bd_ru3 = (
-        (C_w + 0.25 * A_u * A_w) * proj_defect
-        + 4.0 * A_u * A_w * (2.0 + tB_u)
-        + 4.0 * C_w * tau * B_u
-    )
+    del A_u2
+    C_wAA = C_w + bd_ru2
+    bd_ru3 = C_wAA * proj_defect
+    bd_ru3 += 4.0 * A_u * A_w * (2.0 + tB_u)
+    del tB_u
+    bd_ru3 += 4.0 * C_w * tau * B_u
 
-    norm_grad = A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u_x * B_u
-    bd_grad_ru3 = (
-        (C_u_x * C_w + C_w_x + 0.25 * A_u_x * A_w + 0.25 * A_u * A_w_x) * proj_defect
-        + 1.5 * A_u_x * A_w
-        + 2.0 * A_u * C_u_x * A_w
-        + 1.5 * A_u * A_w_x
-        + (C_u_x * C_w + C_w_x) * tau * B_u
-        + C_w * tau * B_u_x
-        + 8.0 * (C_w + 0.25 * A_u * A_w) * norm_grad
-    )
-
-    bd_rw = (
-        (C_u_xx + tau * B_u_xx) * ((7.0 / 3.0) * A_u2 + (11.0 / 3.0) * tau * B_u)
-        + 2.25 * A_u_xx * A_u
-        + A_u_x**2
-        + 2.0
-        * (C_u_x + tB_u_x)
-        * (A_u_x * A_u + tB_u_x + (1.0 + C_u_x) * tau * B_u + tau**2 * B_u_x * B_u)
-    )
-
-    # S bounds |utilde . wtilde| on the interval
-    S = tB_w + C_w * (A_u2 + tB_u) + A_u * A_w
-    bd_rg = (C_w + tB_w) * S + S**2
+    K = C_u_x * C_w + C_w_x
+    bd_grad_ru3 = K + 0.25 * A_u_x * A_w
+    bd_grad_ru3 += 0.25 * A_u * A_w_x
+    bd_grad_ru3 *= proj_defect
+    del proj_defect
+    bd_grad_ru3 += 1.5 * A_u_x * A_w
+    bd_grad_ru3 += 2.0 * A_u * C_u_x * A_w
+    bd_grad_ru3 += 1.5 * A_u * A_w_x
+    bd_grad_ru3 += K * tau * B_u
+    del K
+    bd_grad_ru3 += C_w * tau * B_u_x
+    A_xC += t2B_u_xB_u
+    del t2B_u_xB_u
+    A_xC *= 8.0 * C_wAA
+    bd_grad_ru3 += A_xC
 
     return ResidualBoundFields(
         bd_ru1=bd_ru1,

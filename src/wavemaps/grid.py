@@ -65,16 +65,17 @@ def _sum(a: np.ndarray) -> float:
     return float(np.add.reduce(a, axis=None))
 
 
-def _sum3(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-1) for three components, bit for bit, without the reduction."""
-    s = x[..., 0] + x[..., 1]
+def _sum3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x.sum(axis=-1) for three components, bit for bit, without the
+    reduction; written into ``out`` when given."""
+    s = np.add(x[..., 0], x[..., 1], out=out)
     s += x[..., 2]
     # numpy's sum starts from +0.0, which turns an all -0.0 sum into +0.0
     s += 0.0
     return s
 
 
-def _mirror_pad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mirror_pad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f with one mirror ghost layer on each side, as np.pad(mode="reflect"),
     written into ``out`` when given."""
     fp = out
@@ -102,9 +103,15 @@ def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
     ``out`` must not overlap f.
     """
     _check_shape(f, g)
-    fp = _mirror_pad(f, pad)
+    return laplacian_of_pad(mirror_pad(f, pad), g, out)
+
+
+def laplacian_of_pad(fp: np.ndarray, g: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
+    """Laplacian of the field whose mirror pad is fp, into ``out`` (allocated
+    when not given, never overlapping fp).  It scales the pad's centre in
+    place, so take every other difference of fp first."""
     if out is None:
-        out = np.empty(f.shape)
+        out = np.empty((fp.shape[0] - 2, fp.shape[1] - 2) + fp.shape[2:])
     np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=out)
     out += fp[1:-1, 2:]
     out += fp[1:-1, :-2]
@@ -114,23 +121,37 @@ def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
     out /= g.h * g.h
     return out
 
+
 def gradient(f: np.ndarray, g: Grid2D):
     """Centered-difference components (df/dx, df/dy), mirror ghosts at the boundary."""
     _check_shape(f, g)
-    fp = _mirror_pad(f)
+    return _gradient_of_pad(mirror_pad(f), g)
+
+
+def _gradient_of_pad(fp: np.ndarray, g: Grid2D, fx: np.ndarray | None = None,
+                     fy: np.ndarray | None = None):
     s = 1.0 / (2.0 * g.h)
-    fx = (fp[2:, 1:-1] - fp[:-2, 1:-1]) * s
-    fy = (fp[1:-1, 2:] - fp[1:-1, :-2]) * s
+    fx = np.subtract(fp[2:, 1:-1], fp[:-2, 1:-1], out=fx)
+    fx *= s
+    fy = np.subtract(fp[1:-1, 2:], fp[1:-1, :-2], out=fy)
+    fy *= s
     return fx, fy
 
 
 def gradient_sq(f: np.ndarray, g: Grid2D) -> np.ndarray:
     """Node-wise |grad f|^2, summed over both axes and (for vector fields) components."""
-    fx, fy = gradient(f, g)
-    sq = fx * fx + fy * fy
-    if f.ndim == 3:
-        sq = _sum3(sq)
-    return sq
+    _check_shape(f, g)
+    return _gradient_sq_of_pad(mirror_pad(f), g)
+
+
+def _gradient_sq_of_pad(fp, g, out=None, fx=None, fy=None):
+    fx, fy = _gradient_of_pad(fp, g, fx, fy)
+    fx *= fx
+    fy *= fy
+    if fx.ndim == 3:
+        fx += fy
+        return _sum3(fx, out)
+    return np.add(fx, fy, out=out)
 
 
 def grad_magnitude(f: np.ndarray, g: Grid2D) -> np.ndarray:
@@ -138,11 +159,29 @@ def grad_magnitude(f: np.ndarray, g: Grid2D) -> np.ndarray:
     return np.sqrt(gradient_sq(f, g))
 
 
-def magnitude(f: np.ndarray) -> np.ndarray:
-    """Node-wise Euclidean magnitude (abs for scalar fields)."""
+def grad_magnitude_of_pad(fp: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
+                          fx: np.ndarray | None = None,
+                          fy: np.ndarray | None = None) -> np.ndarray:
+    """grad_magnitude of the field whose mirror pad is fp, which it only reads.
+
+    The result goes to ``out``, and the two components to ``fx`` and
+    ``fy``, scratch of the field's shape; each is allocated when not given.
+    """
+    sq = _gradient_sq_of_pad(fp, g, out, fx, fy)
+    return np.sqrt(sq, out=sq)
+
+
+def magnitude(f: np.ndarray, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+    """Node-wise Euclidean magnitude (abs for scalar fields).
+
+    The result goes to ``out``, and a vector field's squares to ``tmp``,
+    scratch of the field's shape; each is allocated when not given.
+    """
     if f.ndim == 3:
-        return np.sqrt(_sum3(f * f))
-    return np.abs(f)
+        m = _sum3(np.multiply(f, f, out=tmp), out)
+        return np.sqrt(m, out=m)
+    return np.abs(f, out=out)
 
 
 def lp_norm(f: np.ndarray, p: float, g: Grid2D) -> float:

@@ -77,16 +77,30 @@ class EndpointTerms:
 
 
 def endpoint_terms(u, w, g: Grid2D) -> EndpointTerms:
-    """Per-state terms of one endpoint (u, w)."""
-    lap_u = gr.laplacian(u, g)
+    """Per-state terms of one endpoint (u, w).
+
+    One mirror pad serves every difference of a field: |grad u| is taken
+    from u's pad first, then lap u, which scales the pad's centre in place;
+    w's pad reuses the buffer.  Two field-sized scratch arrays hold the
+    gradient components, and the first one also the squares of |w| and
+    |lap u|.  Every term equals the allocating operator's result bit for
+    bit.
+    """
+    shape = u.shape
+    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
+    fx, fy = np.empty(shape), np.empty(shape)
+    s = np.empty(shape[:2])
+    grad_u = gr.grad_magnitude_of_pad(gr.mirror_pad(u, pad), g, fx=fx, fy=fy)
+    lap_u = gr.laplacian_of_pad(pad, g)
+    grad_w = gr.grad_magnitude_of_pad(gr.mirror_pad(w, pad), g, fx=fx, fy=fy)
     return EndpointTerms(
         lap_u=lap_u,
-        u_x_w=gr.cross(u, w),
-        lap_u_x_u=gr.cross(lap_u, u),
-        mag_w=gr.magnitude(w),
-        grad_u=gr.grad_magnitude(u, g),
-        grad_w=gr.grad_magnitude(w, g),
-        mag_lap_u=gr.magnitude(lap_u),
+        u_x_w=gr.cross(u, w, tmp=s),
+        lap_u_x_u=gr.cross(lap_u, u, tmp=s),
+        mag_w=gr.magnitude(w, tmp=fx),
+        grad_u=grad_u,
+        grad_w=grad_w,
+        mag_lap_u=gr.magnitude(lap_u, tmp=fx),
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wavemaps import (EstimatorState, Grid2D, LocalBounds, SmallnessViolated,
-                      SolverConfig, StepRecord, accumulate, alpha_hat,
-                      check_smallness, delta_hat, local_quantities,
-                      residual_bounds, step)
+                      SolverConfig, StepRecord, accumulate,
+                      alpha_hat, check_smallness, constant_data, delta_hat,
+                      initial_data, local_quantities, residual_bounds,
+                      rotation_data, step)
 from wavemaps import grid as gr
 from wavemaps import harness
-from wavemaps.scheme import endpoint_terms
+from wavemaps.estimator import ResidualBoundFields
+from wavemaps.scheme import EndpointTerms, endpoint_terms
 
 from conftest import (KAPPA, dominance_violations, random_state, record_suite,
                       scheme_record)
@@ -91,6 +94,180 @@ def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
     # each record starts from the very terms object the previous one ended with
     for k in range(1, len(ends)):
         assert ends[k][0] is ends[k - 1][1], k
+
+
+# Reference implementations: the allocating formulation, one operator call
+# per quantity and one expression per bound.  The estimator layers pad each
+# field once, write into per-call scratch and share repeated products; they
+# must reproduce these bit for bit.
+
+
+def ref_endpoint_terms(u, w, g):
+    lap_u = gr.laplacian(u, g)
+    return EndpointTerms(
+        lap_u=lap_u,
+        u_x_w=gr.cross(u, w),
+        lap_u_x_u=gr.cross(lap_u, u),
+        mag_w=gr.magnitude(w),
+        grad_u=gr.grad_magnitude(u, g),
+        grad_w=gr.grad_magnitude(w, g),
+        mag_lap_u=gr.magnitude(lap_u),
+    )
+
+
+def ref_local_quantities(rec, g):
+    e0, e1 = rec.ends
+    du = rec.u_np1 - rec.u_n
+    dw = rec.w_np1 - rec.w_n
+    dlap = e1.lap_u - e0.lap_u
+    P = e1.u_x_w - e0.u_x_w
+    Q = e1.lap_u_x_u - e0.lap_u_x_u
+    return LocalBounds(
+        A_u=gr.magnitude(du),
+        A_u_x=gr.grad_magnitude(du, g),
+        A_u_xx=gr.magnitude(dlap),
+        A_w=gr.magnitude(dw),
+        A_w_x=gr.grad_magnitude(dw, g),
+        B_u=gr.magnitude(P),
+        B_u_x=gr.grad_magnitude(P, g),
+        B_u_xx=gr.magnitude(gr.laplacian(P, g)),
+        B_w=gr.magnitude(Q),
+        B_w_x=gr.grad_magnitude(Q, g),
+        C_w=np.maximum(e0.mag_w, e1.mag_w),
+        C_u_x=np.maximum(e0.grad_u, e1.grad_u),
+        C_w_x=np.maximum(e0.grad_w, e1.grad_w),
+        C_u_xx=np.maximum(e0.mag_lap_u, e1.mag_lap_u),
+    )
+
+
+def ref_residual_bounds(lb, tau):
+    A_u, A_u_x, A_u_xx = lb.A_u, lb.A_u_x, lb.A_u_xx
+    A_w, A_w_x = lb.A_w, lb.A_w_x
+    B_u, B_u_x, B_u_xx = lb.B_u, lb.B_u_x, lb.B_u_xx
+    B_w, B_w_x = lb.B_w, lb.B_w_x
+    C_w, C_u_x, C_w_x, C_u_xx = lb.C_w, lb.C_u_x, lb.C_w_x, lb.C_u_xx
+
+    A_u2 = A_u**2
+    tB_u = tau * B_u
+    tB_u_x = tau * B_u_x
+    tB_w = tau * B_w
+    if not np.all(A_u2 + tB_u < 0.25):
+        raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
+
+    bd_ru1 = tB_w + C_w * A_u2 + C_w * tau * B_u + 0.25 * A_u * A_w
+
+    bd_grad_ru1 = (
+        (C_u_x + tB_u_x) * (tB_w + C_w * A_u2)
+        + tau * B_w_x
+        + C_w * (A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u * B_u_x)
+        + A_u2 * C_w_x
+        + tB_u_x * C_w
+        + tB_u * C_w_x
+        + A_u_x * A_w
+        + A_u * A_w_x
+    )
+
+    bd_ru2 = 0.25 * A_u * A_w
+    bd_grad_ru2 = 0.25 * (A_u_x * A_w + A_u * A_w_x)
+
+    proj_defect = (4.0 / 3.0) * A_u2 + (8.0 / 3.0) * tau * B_u
+    bd_ru3 = (
+        (C_w + 0.25 * A_u * A_w) * proj_defect
+        + 4.0 * A_u * A_w * (2.0 + tB_u)
+        + 4.0 * C_w * tau * B_u
+    )
+
+    norm_grad = A_u_x * A_u + tB_u_x + C_u_x * tau * B_u + tau**2 * B_u_x * B_u
+    bd_grad_ru3 = (
+        (C_u_x * C_w + C_w_x + 0.25 * A_u_x * A_w + 0.25 * A_u * A_w_x) * proj_defect
+        + 1.5 * A_u_x * A_w
+        + 2.0 * A_u * C_u_x * A_w
+        + 1.5 * A_u * A_w_x
+        + (C_u_x * C_w + C_w_x) * tau * B_u
+        + C_w * tau * B_u_x
+        + 8.0 * (C_w + 0.25 * A_u * A_w) * norm_grad
+    )
+
+    bd_rw = (
+        (C_u_xx + tau * B_u_xx) * ((7.0 / 3.0) * A_u2 + (11.0 / 3.0) * tau * B_u)
+        + 2.25 * A_u_xx * A_u
+        + A_u_x**2
+        + 2.0
+        * (C_u_x + tB_u_x)
+        * (A_u_x * A_u + tB_u_x + (1.0 + C_u_x) * tau * B_u + tau**2 * B_u_x * B_u)
+    )
+
+    S = tB_w + C_w * (A_u2 + tB_u) + A_u * A_w
+    bd_rg = (C_w + tB_w) * S + S**2
+
+    return ResidualBoundFields(
+        bd_ru1=bd_ru1,
+        bd_grad_ru1=bd_grad_ru1,
+        bd_ru2=bd_ru2,
+        bd_grad_ru2=bd_grad_ru2,
+        bd_ru3=bd_ru3,
+        bd_grad_ru3=bd_grad_ru3,
+        bd_rw=bd_rw,
+        bd_rg=bd_rg,
+    )
+
+
+def assert_fields_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+
+
+@pytest.mark.parametrize("M", (8, 32, 128))
+@pytest.mark.parametrize("data", (initial_data, constant_data, rotation_data))
+@pytest.mark.parametrize("tau_per_h", (1.0 / 16.0, 0.25))
+def test_estimator_layers_match_reference_bitwise(M, data, tau_per_h):
+    g = Grid2D(M)
+    tau = tau_per_h * g.h
+    u, w = data(g)
+    for _ in range(2):  # away from w = 0, so that every term is nonzero
+        u, w, _ = step(u, w, tau, CFG, g)
+    u1, w1, _ = step(u, w, tau, CFG, g)
+    ends = (endpoint_terms(u, w, g), endpoint_terms(u1, w1, g))
+    for state, terms in zip(((u, w), (u1, w1)), ends):
+        assert_fields_bitwise_equal(terms, ref_endpoint_terms(*state, g))
+    rec = StepRecord(grid=g, t_n=0.0, t_np1=tau, u_n=u, u_np1=u1, w_n=w, w_np1=w1, ends=ends)
+    lb = local_quantities(rec, g)
+    assert_fields_bitwise_equal(lb, ref_local_quantities(rec, g))
+    try:
+        want = ref_residual_bounds(lb, tau)
+    except SmallnessViolated:
+        with pytest.raises(SmallnessViolated):
+            residual_bounds(lb, tau)
+    else:
+        assert_fields_bitwise_equal(residual_bounds(lb, tau), want)
+
+
+def test_local_quantities_allocates_only_outputs_and_scratch():
+    # Outputs and scratch are allocated up front; a field-sized temporary
+    # per quantity would raise the traced peak by 400 KB at M = 128.
+    # numpy's ufunc iterator may hold up to one buffer of getbufsize()
+    # elements per operand of a strided operation.
+    g = Grid2D(128)
+    u, w = initial_data(g)
+    u, w, _ = step(u, w, g.h / 16, CFG, g)
+    u1, w1, _ = step(u, w, g.h / 16, CFG, g)
+    rec = StepRecord(grid=g, t_n=0.0, t_np1=g.h / 16, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
+    local_quantities(rec, g)
+    field_bytes = u.nbytes
+    outputs = 14 * (field_bytes // 3)
+    scratch = (2 * field_bytes  # the difference buffer and one gradient component
+               + (g.M + 3) ** 2 * 3 * 8)  # the mirror pad
+    iterator = 3 * np.getbufsize() * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        local_quantities(rec, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + scratch + iterator + 16 * 1024
 
 
 def test_local_quantities_elementary_bounds():
