@@ -13,7 +13,11 @@ running tolerance as its own state and reads its one step floor,
 ``RunConfig.tau_min``, in both modes: a retry below it stops the run with
 StepFloor.  Each state's EndpointTerms (its Laplacian and the per-state
 factors of the bounds) are computed once, when the state is solved, and
-carried to the next interval in its StepRecord.
+carried to the next interval in its StepRecord.  Once a step has been
+accepted, every attempt, a retry too, starts its fixed-point solve from
+the last accepted step extrapolated linearly to its own step size; the
+attempts before the first accept start from the current state.  The
+solver's tolerance bounds what the start changes in the results.
 
 The initial state and every accepted state take one path: energy, the
 unit-length and orthogonality constraints to ``SolverConfig.unit_tol``
@@ -205,6 +209,7 @@ def run(cfg: RunConfig) -> Trajectory:
     terms = endpoint_terms(u, w, g)  # carried forward with the state
     keep(t, tau, u, w, terms)
     pristine = cfg.mode == "fixed"  # until the first rejection, every step is cfg.tau
+    last = None  # (u, w, tau) before the last accepted step
 
     while cfg.t_end - t > cfg.tau_min:
         tau_eff = min(tau, cfg.t_end - t)
@@ -212,7 +217,8 @@ def run(cfg: RunConfig) -> Trajectory:
         a_j = d_j = 0.0
         ok = False  # the solve converged and the smallness condition holds
         try:
-            u1, w1, iterations = step(u, w, tau_eff, cfg.solver, g)
+            u1, w1, iterations = step(u, w, tau_eff, cfg.solver, g,
+                                      guess=_extrapolate(last, u, w, tau_eff))
         except NonConvergence as exc:
             iterations = exc.iterations
         else:
@@ -243,6 +249,7 @@ def run(cfg: RunConfig) -> Trajectory:
         accumulate(est, int_a, int_d)
         estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
 
+        last = (u, w, tau_eff)
         u, w, terms, t = u1, w1, terms1, t_new
         keep(t, tau_eff, u, w, terms)
 
@@ -255,6 +262,25 @@ def run(cfg: RunConfig) -> Trajectory:
     if cfg.out_dir is not None:
         _write_outputs(cfg, traj)
     return traj
+
+
+def _extrapolate(last, u, w, tau):
+    """Start of the solve from (u, w) over tau: the last accepted step,
+    ``last = (u_last, w_last, tau_last)``, extrapolated linearly, or None
+    before the first accept.
+
+    With r = tau / tau_last, the guess is (u + r (u - u_last), w + r (w -
+    w_last)), built in place in two new arrays.  Nothing holds them once
+    the solve returns, so they do not live through the estimator.
+    """
+    if last is None:
+        return None
+    r = tau / last[2]
+    guess = (np.subtract(u, last[0]), np.subtract(w, last[1]))
+    for x, x_guess in zip((u, w), guess):
+        x_guess *= r
+        x_guess += x
+    return guess
 
 
 def _rates(rec, tau, g):
@@ -320,13 +346,25 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     """Self-convergence study against a fine-step reference on the same grid.
 
     Returns rows (tau, err_w, eoc_w, err_gu, eoc_gu); the first row carries
-    None for both EOC entries.
+    None for both EOC entries.  The settings alone decide whether the
+    comparison times nest: the reference stores the step times of the
+    finest tau that it lands on, k * tau_ref to within 2^-40, and every step
+    time of every coarse tau must be one of them.  Taus that do not nest
+    raise ConfigError before any run.
     """
     solver = solver if solver is not None else SolverConfig()
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):
         raise ConfigError("every coarse tau must exceed tau_ref")
     finest = min(taus)
+    for tau in taus:
+        for s in _step_times(tau, t_end)[:-1]:  # every run reaches t_end
+            t_ref = round(s / tau_ref) * tau_ref  # the reference's step time nearest s
+            if not (abs(t_ref - s) <= _TIME_ATOL
+                    and abs(round(s / finest) * finest - t_ref) <= _TIME_ATOL):
+                raise ConfigError(f"eoc_taus do not nest: step time {s!r} of tau {tau!r} "
+                                  f"is not a step time of tau_ref {tau_ref!r} and of the "
+                                  f"finest tau {finest!r}")
     store = tuple(_step_times(finest, t_end))
     ref = run(RunConfig(M=M, mode="fixed", tau=tau_ref, t_end=t_end, solver=solver,
                         initial=initial, store_times=store))

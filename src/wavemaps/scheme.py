@@ -181,17 +181,22 @@ def rotation_data(g: Grid2D, u0=(1.0, 0.0, 0.0), omega=(0.0, 0.0, 1.0)):
     return gr.constant_field(g, u), gr.constant_field(g, w)
 
 
-def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D):
+def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
     """Advance one interval of length tau; returns (u_np1, w_np1, iterations).
 
     The iteration is Gauss-Seidel: each sweep updates u from the current
     midpoints, refreshes mu from the new u, and updates w from that mu;
     mw follows from the new w.  It stops once the max-norm change of both
-    iterates is <= cfg.fp_tol.  The sweeps allocate nothing: every field
-    they write (the midpoints, one cross/scale buffer, the Laplacian and
-    its padded copy, a scalar scratch and two rotating (u, w) iterate
-    pairs) is allocated once per call.  u_n and w_n are only read, and
-    the returned fields are fresh arrays that belong to the caller.
+    iterates is <= cfg.fp_tol.  The iteration starts from (u_n, w_n), or
+    from ``guess = (u_g, w_g)`` when given: the first sweep then uses the
+    midpoints (u_n + u_g)/2 and (w_n + w_g)/2, and the first convergence
+    test compares with the guess.  A good guess, such as the extrapolated
+    last step, saves sweeps; the fixed point and the stopping rule stay.
+    The sweeps allocate nothing: every field they write (the midpoints,
+    one cross/scale buffer, the Laplacian and its padded copy, a scalar
+    scratch and two rotating (u, w) iterate pairs) is allocated once per
+    call.  u_n, w_n and the guess are only read, and the returned fields
+    are fresh arrays that belong to the caller.
     Negative tau is allowed (the midpoint map is time-symmetric), zero is
     not.  Raises NonConvergence when the cap is hit, which signals that
     |tau| is above the convergence threshold of the iteration.
@@ -206,6 +211,12 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D):
     ws = (np.empty(shape), np.empty(shape))
     u, w = u_n, w_n
     m_u, m_w = u_n, w_n  # midpoints of the iterate (u_n, w_n)
+    if guess is not None:
+        u, w = guess
+        m_u = np.add(u_n, u, out=mu)
+        m_u *= 0.5
+        m_w = np.add(w_n, w, out=mw)
+        m_w *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.fp_max_iter + 1):
             u_new, w_new = us[it % 2], ws[it % 2]

@@ -11,7 +11,7 @@ from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
                       NonPositiveError, RunConfig, SolverConfig, StepFloor, TimeMismatch,
                       Trajectory, energy_norm_error, eoc, read_field,
                       rotation_data, run, run_eoc_study)
-from wavemaps import cli
+from wavemaps import cli, harness
 from wavemaps import grid as gr
 
 from test_scheme import cayley_apply, jacobi_step
@@ -69,9 +69,9 @@ def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch):
     failures = []
     real_step, real_smallness = hz.step, hz.check_smallness
 
-    def watched_step(u, w, tau, cfg, g):
+    def watched_step(u, w, tau, cfg, g, guess=None):
         try:
-            return real_step(u, w, tau, cfg, g)
+            return real_step(u, w, tau, cfg, g, guess)
         except NonConvergence:
             failures.append(("solver", tau))
             raise
@@ -160,9 +160,9 @@ def test_fp_iterations_record_every_attempt(monkeypatch):
     seen = []
     real_step = hz.step
 
-    def watched_step(u, w, tau, cfg, g):
+    def watched_step(u, w, tau, cfg, g, guess=None):
         try:
-            result = real_step(u, w, tau, cfg, g)
+            result = real_step(u, w, tau, cfg, g, guess)
         except NonConvergence as exc:
             seen.append(exc.iterations)
             raise
@@ -186,6 +186,56 @@ def test_gauss_seidel_saves_iterations_over_a_run(monkeypatch):
     assert (gs.n_accepted, gs.n_rejected) == (jac.n_accepted, jac.n_rejected)
     assert gs.est.log_B == pytest.approx(jac.est.log_B, rel=1e-12)
     assert sum(gs.fp_iterations) <= 0.75 * sum(jac.fp_iterations)
+
+
+def test_run_starts_each_solve_from_the_extrapolated_last_step(monkeypatch):
+    # fixed M = 16 from tau = 1/8: two solver failures before the first
+    # accept start cold; after three accepts at 1/32 the smallness condition
+    # fails, so the retry at 1/64 extrapolates with r = 1/2, and the clamped
+    # last step with r < 1
+    import wavemaps.harness as hz
+    real_step = hz.step
+    calls = []
+
+    def watched_step(u, w, tau, cfg, g, guess=None):
+        calls.append((u, w, tau, guess))
+        return real_step(u, w, tau, cfg, g, guess)
+
+    monkeypatch.setattr(hz, "step", watched_step)
+    traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3))
+    decisions = [row[2] for row in traj.controller_rows]
+    assert len(calls) == len(decisions) == 20
+    last = None  # (u, w, tau) of the last accepted attempt
+    ratios = []
+    for (u, w, tau, guess), decision in zip(calls, decisions):
+        if last is None:
+            assert guess is None
+        else:
+            r = tau / last[2]
+            ratios.append(r)
+            for x, x_last, x_guess in zip((u, w), last, guess):
+                assert x_guess.tobytes() == (x + r * (x - x_last)).tobytes()
+        if decision == "accept":
+            last = (u, w, tau)
+    assert ratios[:3] == [1.0, 1.0, 1.0]  # the third one is rejected
+    assert ratios[3] == 0.5 and 0.0 < ratios[-1] < 1.0
+
+
+def test_warm_start_saves_sweeps_on_the_eoc_reference():
+    # the reference of the benchmark's EOC study: 1024 sweeps from cold starts
+    traj = run(RunConfig(M=32, mode="fixed", tau=2.0**-13, t_end=2.0**-5))
+    assert traj.n_accepted == 256
+    assert sum(traj.fp_iterations) <= 800
+
+
+def test_warm_start_keeps_the_criterion_8_decisions():
+    counts = []
+    for strategy, tol0 in ((UPDATED_TOLERANCE, 1e-6), (EQUIDISTRIBUTE, math.sqrt(5e-4))):
+        ctrl = AdaptiveController(strategy=strategy, tol0=tol0, tau_max=2.0**-9)
+        traj = run(RunConfig(M=32, mode="adaptive", tau=2.0**-10, t_end=0.02,
+                             controller=ctrl))
+        counts.append((traj.n_accepted, traj.n_rejected))
+    assert counts == [(805, 9), (69, 2)]
 
 
 def test_energy_norm_error_of_trajectory_with_itself():
@@ -329,8 +379,8 @@ def test_run_enforces_unit_tol_on_accepted_states(monkeypatch):
     import wavemaps.harness as hz
     real_step = hz.step
 
-    def stretched_step(u, w, tau, cfg, g):
-        u1, w1, it = real_step(u, w, tau, cfg, g)
+    def stretched_step(u, w, tau, cfg, g, guess=None):
+        u1, w1, it = real_step(u, w, tau, cfg, g, guess)
         return (1.0 + 1e-8) * u1, w1, it
 
     monkeypatch.setattr(hz, "step", stretched_step)
@@ -514,6 +564,20 @@ def test_cli_eoc_mode(tmp_path, capsys):
     assert lines[0] == "tau,err_w,eoc_w,err_gu,eoc_gu"
     assert len(lines) == 3
     assert "eoc_w" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("taus", ["0.003,0.0015", "2^-7,0.0029296875"])
+def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsys, taus):
+    # 0.003 is no multiple of tau_ref = 2^-12; 2^-7 is no multiple of the
+    # finest tau 3 * 2^-10, whose step times are all the reference stores
+    cfgfile = tmp_path / "eoc.cfg"
+    cfgfile.write_text(f"eoc_taus = {taus}\ntau_ref = 2^-12\n")
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
+    rc = cli.main(["--config", str(cfgfile), "--mode", "eoc", "--grid", "8", "--tend", "0.03"])
+    assert rc == 3 and runs == []  # decided from the settings, before any run
+    captured = capsys.readouterr()
+    assert "eoc_taus do not nest" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["fixed", "eoc"])

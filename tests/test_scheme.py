@@ -28,11 +28,11 @@ def cayley_apply(u3, omega3, tau):
     return np.linalg.solve(lhs, rhs)
 
 
-def jacobi_step(u_n, w_n, tau, cfg, g):
+def jacobi_step(u_n, w_n, tau, cfg, g, guess=None):
     """Jacobi iteration of the midpoint system: both updates read the
-    previous iterate.  Same stopping rule as scheme.step; a reference for
-    its fixed point and its iteration count."""
-    u, w = u_n, w_n
+    previous iterate.  Same start and stopping rule as scheme.step; a
+    reference for its fixed point and its iteration count."""
+    u, w = (u_n, w_n) if guess is None else guess
     for it in range(1, cfg.fp_max_iter + 1):
         mu = 0.5 * (u_n + u)
         mw = 0.5 * (w_n + w)
@@ -193,6 +193,25 @@ def test_gauss_seidel_needs_fewer_iterations_than_jacobi():
     tau = g.h / 16
     assert step(u, w, tau, cfg, g)[2] <= 7
     assert jacobi_step(u, w, tau, cfg, g)[2] >= 10
+
+
+def test_warm_and_cold_step_reach_the_same_fixed_point():
+    g = Grid2D(32)
+    cfg = SolverConfig()
+    tau = 2.0**-9
+    u0, w0 = initial_data(g)
+    for _ in range(8):
+        u0, w0, _ = step(u0, w0, tau, cfg, g)
+    u1, w1, _ = step(u0, w0, tau, cfg, g)
+    guess = (2.0 * u1 - u0, 2.0 * w1 - w0)  # the last step, extrapolated
+    kept = [a.copy() for a in guess]
+    u_cold, w_cold, cold = step(u1, w1, tau, cfg, g)
+    u_warm, w_warm, warm = step(u1, w1, tau, cfg, g, guess=guess)
+    assert np.abs(u_warm - u_cold).max() <= 1e-13
+    assert np.abs(w_warm - w_cold).max() <= 1e-13
+    assert warm < cold
+    for a, b in zip(guess, kept):  # the guess is only read
+        assert a.tobytes() == b.tobytes()
 
 
 def test_step_allocates_nothing_beyond_its_buffers():
