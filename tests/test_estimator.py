@@ -9,10 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wavemaps import (EstimatorState, Grid2D, LocalBounds, SmallnessViolated,
-                      SolverConfig, StepRecord, accumulate,
-                      alpha_hat, check_smallness, constant_data, delta_hat,
-                      initial_data, local_quantities, residual_bounds,
-                      rotation_data, step)
+                      SolverConfig, StepRecord, accumulate, alpha_hat,
+                      check_smallness, constant_data, delta_hat, initial_data,
+                      local_quantities, residual_bounds, rotation_data, step)
 from wavemaps import grid as gr
 from wavemaps import harness
 from wavemaps.estimator import ResidualBoundFields
@@ -220,8 +219,10 @@ def assert_fields_bitwise_equal(a, b):
 
 @pytest.mark.parametrize("M", (8, 32, 128))
 @pytest.mark.parametrize("data", (initial_data, constant_data, rotation_data))
-@pytest.mark.parametrize("tau_per_h", (1.0 / 16.0, 0.25))
+@pytest.mark.parametrize("tau_per_h", (1.0 / 16.0, 0.25, 0.3))
 def test_estimator_layers_match_reference_bitwise(M, data, tau_per_h):
+    # tau = 0.3 h is no power of two, so products that differ only in where
+    # tau enters round differently and a reassociation shows
     g = Grid2D(M)
     tau = tau_per_h * g.h
     u, w = data(g)
