@@ -13,9 +13,10 @@ Two strategies:
 Fixed-step runs use a third, internal strategy, ``fixed``: accept every
 step whatever its density and never grow the step.
 
-A non-converged nonlinear solve, a failed smallness condition, or a rate
-that is not finite always forces a rejection with the shrink factor,
-independent of the strategy and the tolerance.
+A rejected attempt is retried at half its size (SHRINK) under every
+strategy.  A non-converged nonlinear solve, a failed smallness condition,
+or a rate that is not finite always forces a rejection, independent of
+the strategy and the tolerance.
 
 The controller holds settings only.  The running tolerance is state of
 one run: the caller passes it to ``decide`` and carries ``tol_next``
@@ -29,6 +30,12 @@ EQUIDISTRIBUTE = "equidistribute"
 UPDATED_TOLERANCE = "updated"
 FIXED = "fixed"
 
+# step-size gains; the a posteriori bound does not depend on them.  An
+# accept whose density is below SAFETY * tol grows the step by GROW.
+GROW = 1.2
+SHRINK = 0.5
+SAFETY = 0.4
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -41,18 +48,11 @@ class Decision:
 class AdaptiveController:
     strategy: str = EQUIDISTRIBUTE
     tol0: float = 1e-4  # tolerance of a run's first attempt
-    grow: float = 1.2
-    shrink: float = 0.5
-    safety: float = 0.4
     tau_max: float = 2.0**-6
 
     def __post_init__(self):
         if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 < self.shrink < 1.0 < self.grow:
-            raise ValueError("need 0 < shrink < 1 < grow")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("need 0 < safety < 1")
         if not self.tau_max > 0.0:
             raise ValueError("tau_max must be positive")
         if not self.tol0 > 0.0:
@@ -71,14 +71,14 @@ def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
     strategy an accept also grows the tolerance.
     """
     if not (fp_converged and math.isfinite(alpha_hat_j) and math.isfinite(delta_hat_j)):
-        return Decision(accepted=False, tau_next=tau * ctrl.shrink, tol_next=tol)
+        return Decision(accepted=False, tau_next=tau * SHRINK, tol_next=tol)
     if ctrl.strategy == FIXED:
         return Decision(accepted=True, tau_next=tau, tol_next=tol)
     density = alpha_hat_j
     if density > tol:
-        return Decision(accepted=False, tau_next=tau * ctrl.shrink, tol_next=tol)
-    if density < ctrl.safety * tol:
-        tau_next = min(tau * ctrl.grow, ctrl.tau_max)
+        return Decision(accepted=False, tau_next=tau * SHRINK, tol_next=tol)
+    if density < SAFETY * tol:
+        tau_next = min(tau * GROW, ctrl.tau_max)
     else:
         tau_next = tau
     if ctrl.strategy == UPDATED_TOLERANCE:

@@ -20,8 +20,7 @@ from .scheme import SolverConfig
 
 _CONFIG_KEYS = {
     "grid", "mode", "tau", "tend", "strategy", "tol0", "out", "initial",
-    "fp_tol", "fp_max_iter", "unit_tol",
-    "grow", "shrink", "safety", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
+    "fp_tol", "unit_tol", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
 }
 
 _DEFAULT_EOC_TAUS = "2^-7,2^-8,2^-9,2^-10"
@@ -78,7 +77,7 @@ def _merge(args) -> dict:
 
 # parsers of the config keys that are not plain numbers
 _PARSERS = {
-    "grid": int, "fp_max_iter": int, "mode": str, "strategy": str, "initial": str, "out": str,
+    "grid": int, "mode": str, "strategy": str, "initial": str, "out": str,
     "snapshots": lambda text: tuple(_parse_number(tok) for tok in text.split(",")),
 }
 # config keys named differently from their RunConfig field

@@ -66,12 +66,11 @@ def _sum(a: np.ndarray) -> float:
 
 
 def _sum3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x.sum(axis=-1) for three components, bit for bit, without the
-    reduction; written into ``out`` when given."""
+    """x.sum(axis=-1) for three components without the reduction, written
+    into ``out`` when given.  Bit for bit unless all three are -0.0, which
+    the sum turns into +0.0; sums of squares never are."""
     s = np.add(x[..., 0], x[..., 1], out=out)
     s += x[..., 2]
-    # numpy's sum starts from +0.0, which turns an all -0.0 sum into +0.0
-    s += 0.0
     return s
 
 
@@ -243,7 +242,10 @@ def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _sum3(a * b)
+    s = _sum3(a * b)
+    # numpy's sum starts from +0.0, which turns an all -0.0 sum into +0.0
+    s += 0.0
+    return s
 
 
 def constant_field(g: Grid2D, v) -> np.ndarray:
@@ -452,18 +454,22 @@ def write_field_csv(path, f: np.ndarray, g: Grid2D):
     coords = _csv_coords(g)
     cw = coords.shape[1]
     n = g.M + 1
+    # each line: x, y, then every value followed by "," or "\n"; the NUL
+    # padding is dropped when a block is written.  One buffer serves every
+    # block (the last one through a view): y and the separators are the
+    # same in each, so they are written once.
+    buf = np.empty((min(_CSV_BLOCK_ROWS, n), n, 2 * cw + 3 * (_G17_WIDTH + 1)),
+                   dtype=np.uint8)
+    buf[:, :, cw:2 * cw] = coords
+    vals = buf[:, :, 2 * cw:].reshape(buf.shape[:2] + (3, _G17_WIDTH + 1))
+    vals[..., :2, -1] = ord(",")
+    vals[..., 2, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(b"x,y,u1,u2,u3\n")
         for i0 in range(0, n, _CSV_BLOCK_ROWS):
             rows = np.asarray(f[i0:i0 + _CSV_BLOCK_ROWS], dtype=np.float64)
             nb = rows.shape[0]
-            # each line: x, y, then every value followed by "," or "\n";
-            # the NUL padding is dropped when the block is written
-            block = np.empty((nb, n, 2 * cw + 3 * (_G17_WIDTH + 1)), dtype=np.uint8)
+            block = buf[:nb]
             block[:, :, :cw] = coords[i0:i0 + nb, None]
-            block[:, :, cw:2 * cw] = coords
-            vals = block[:, :, 2 * cw:].reshape(nb, n, 3, _G17_WIDTH + 1)
-            vals[..., :-1] = _g17(rows.reshape(-1)).T.reshape(nb, n, 3, _G17_WIDTH)
-            vals[..., :2, -1] = ord(",")
-            vals[..., 2, -1] = ord("\n")
+            vals[:nb, ..., :-1] = _g17(rows.reshape(-1)).T.reshape(nb, n, 3, _G17_WIDTH)
             fh.write(block.tobytes().translate(None, b"\0"))

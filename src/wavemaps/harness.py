@@ -6,9 +6,9 @@ every accepted interval, and feeds them into the accumulated error bound.
 Fixed and adaptive runs share one step loop: the step controller accepts
 or rejects every attempt, and each attempt is one row of
 ``Trajectory.controller_rows``.  Fixed-step runs use its internal
-``fixed`` strategy: accept every step that can be evaluated, never grow,
-and halve when the nonlinear solve fails to converge or the smallness
-condition breaks.  The controller is a frozen policy.  The run keeps the
+``fixed`` strategy: accept every step that can be evaluated and never
+grow.  In both modes a rejected attempt is retried at half its size
+(``adapt.SHRINK``).  The controller is a frozen policy.  The run keeps the
 running tolerance as its own state and reads its one step floor,
 ``RunConfig.tau_min``, in both modes: a retry below it stops the run with
 StepFloor.  Each state's EndpointTerms (its Laplacian and the per-state

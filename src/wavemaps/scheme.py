@@ -30,6 +30,9 @@ import numpy as np
 from . import grid as gr
 from .grid import Grid2D
 
+FP_MAX_ITER = 200  # sweeps of one solve; reaching the cap raises NonConvergence
+
+
 class NonConvergence(Exception):
     """Fixed-point iteration hit the iteration cap; the step size is too large."""
 
@@ -42,21 +45,17 @@ class NonConvergence(Exception):
 class SolverConfig:
     """Nonlinear-solver settings.
 
-    fp_tol      max-norm change of both iterates at which the iteration stops
-    fp_max_iter iteration cap; reaching it raises NonConvergence
-    unit_tol    tolerance for the |u| = 1 and u . w = 0 node constraints,
-                enforced on every state a run accepts
+    fp_tol    max-norm change of both iterates at which the iteration stops
+    unit_tol  tolerance for the |u| = 1 and u . w = 0 node constraints,
+              enforced on every state a run accepts
     """
 
     fp_tol: float = 1e-12
-    fp_max_iter: int = 200
     unit_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.fp_tol < math.inf:
             raise ValueError("fp_tol must be positive and finite")
-        if self.fp_max_iter < 1:
-            raise ValueError("fp_max_iter must be at least 1")
         if not 0.0 < self.unit_tol < math.inf:  # inf would not enforce the constraints
             raise ValueError("unit_tol must be positive and finite")
 
@@ -218,7 +217,7 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
         m_w = np.add(w_n, w, out=mw)
         m_w *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, cfg.fp_max_iter + 1):
+        for it in range(1, FP_MAX_ITER + 1):
             u_new, w_new = us[it % 2], ws[it % 2]
             gr.cross(m_u, m_w, out=c, tmp=s)  # u_new = u_n + tau * (mu x mw)
             c *= tau
@@ -241,7 +240,7 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
                 raise NonConvergence(it)  # iteration diverged outright
             if du <= cfg.fp_tol and dw <= cfg.fp_tol:
                 return u, w, it
-    raise NonConvergence(cfg.fp_max_iter)
+    raise NonConvergence(FP_MAX_ITER)
 
 
 def energy(u, w, g: Grid2D) -> float:

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
-from wavemaps import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, decide
-from wavemaps.adapt import FIXED
+from wavemaps import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, SolverConfig, decide
+from wavemaps.adapt import FIXED, GROW
 
 
 def make(strategy=EQUIDISTRIBUTE, **kw):
@@ -22,7 +23,7 @@ def test_zero_density_grows_step():
     ctrl = make(tol0=1e-4, tau_max=2.0**-6)
     d = decide(ctrl, 0.01, 0.0, 5.0, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted
-    assert d.tau_next == min(0.01 * ctrl.grow, ctrl.tau_max)
+    assert d.tau_next == min(0.01 * GROW, ctrl.tau_max)
     d = decide(ctrl, 2.0**-6, 0.0, 5.0, fp_converged=True, tol=d.tol_next)
     assert d.tau_next == 2.0**-6  # clamped at tau_max
 
@@ -34,7 +35,7 @@ def test_reject_above_tolerance():
 
 
 def test_hold_step_inside_safety_band():
-    ctrl = make(tol0=1e-4, safety=0.4)
+    ctrl = make(tol0=1e-4)
     d = decide(ctrl, 0.01, 0.7e-4, 1.0, fp_converged=True, tol=ctrl.tol0)
     assert d.accepted and d.tau_next == 0.01
 
@@ -83,7 +84,7 @@ def test_updated_tolerance_stays_infinite_and_accepts_later_steps():
     tol = math.inf
     for delta in (10.0, 2e5):
         d = decide(ctrl, 0.01, 1e6, delta, fp_converged=True, tol=tol)
-        assert d.accepted and d.tau_next == 0.01 * ctrl.grow
+        assert d.accepted and d.tau_next == 0.01 * GROW
         assert d.tol_next == math.inf
         tol = d.tol_next
     # rejections for non-finite rates and failed solves still apply
@@ -137,10 +138,16 @@ def test_controller_validation():
     with pytest.raises(ValueError):
         AdaptiveController(strategy="nonsense")
     with pytest.raises(ValueError):
-        AdaptiveController(shrink=1.5)
-    with pytest.raises(ValueError):
-        AdaptiveController(safety=0.0)
-    with pytest.raises(ValueError):
         AdaptiveController(tau_max=0.0)
     with pytest.raises(ValueError):
         AdaptiveController(tol0=0.0)
+
+
+def test_gains_and_sweep_cap_are_not_settings():
+    # adapt.GROW/SHRINK/SAFETY and scheme.FP_MAX_ITER are constants
+    with pytest.raises(TypeError):
+        AdaptiveController(grow=1.5)
+    with pytest.raises(TypeError):
+        SolverConfig(fp_max_iter=50)
+    assert [f.name for f in fields(AdaptiveController)] == ["strategy", "tol0", "tau_max"]
+    assert [f.name for f in fields(SolverConfig)] == ["fp_tol", "unit_tol"]

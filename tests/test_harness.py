@@ -485,7 +485,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["warp_factor = 9", "dump_residuals = 1",
-                                  "c_q = 1", "p_exp = 3", "b0 = 0.5"])
+                                  "c_q = 1", "p_exp = 3", "b0 = 0.5",
+                                  "grow = 1.5", "shrink = 0.25", "safety = 0.5",
+                                  "fp_max_iter = 50"])
 def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"grid = 8\n{line}\n")
@@ -535,11 +537,11 @@ def test_cli_rejects_nonpositive_tau_min(tmp_path, capsys, mode):
 def test_cli_rejects_controller_keys_outside_adaptive_mode(tmp_path, capsys, mode):
     cfgfile = tmp_path / "ctrl.cfg"
     cfgfile.write_text(f"grid = 8\nmode = {mode}\ntend = 0.01\neoc_taus = 2^-7,2^-8\n"
-                       "tau_ref = 2^-10\ntol0 = -3\ngrow = 0.5\ntau_max = -1\n")
+                       "tau_ref = 2^-10\ntol0 = -3\ntau_max = -1\n")
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 3
     captured = capsys.readouterr()
-    assert "grow, tau_max, tol0" in captured.err and captured.out == ""
+    assert "tau_max, tol0" in captured.err and captured.out == ""
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):

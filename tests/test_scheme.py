@@ -8,6 +8,7 @@ from wavemaps import (Grid2D, NonConvergence, SolverConfig, StepRecord,
                       constant_data, energy, initial_data, laplacian,
                       rotation_data, step)
 from wavemaps import grid as gr
+from wavemaps import scheme
 
 from conftest import random_state
 
@@ -33,7 +34,7 @@ def jacobi_step(u_n, w_n, tau, cfg, g, guess=None):
     previous iterate.  Same start and stopping rule as scheme.step; a
     reference for its fixed point and its iteration count."""
     u, w = (u_n, w_n) if guess is None else guess
-    for it in range(1, cfg.fp_max_iter + 1):
+    for it in range(1, scheme.FP_MAX_ITER + 1):
         mu = 0.5 * (u_n + u)
         mw = 0.5 * (w_n + w)
         u_new = u_n + tau * gr.cross(mu, mw)
@@ -45,7 +46,7 @@ def jacobi_step(u_n, w_n, tau, cfg, g, guess=None):
             raise NonConvergence(it)
         if du <= cfg.fp_tol and dw <= cfg.fp_tol:
             return u, w, it
-    raise NonConvergence(cfg.fp_max_iter)
+    raise NonConvergence(scheme.FP_MAX_ITER)
 
 
 def test_initial_data_pointwise_values():
@@ -151,7 +152,7 @@ def test_step_is_time_symmetric():
 
 def test_step_rejects_zero_tau_and_raises_on_divergence():
     g = Grid2D(16)
-    cfg = SolverConfig(fp_max_iter=40)
+    cfg = SolverConfig()
     u, w = initial_data(g)
     with pytest.raises(ValueError):
         step(u, w, 0.0, cfg, g)
@@ -256,8 +257,6 @@ def test_step_record_caches_and_validates():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(fp_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(fp_max_iter=0)
     # a NaN tolerance passes no comparison: fp_tol would never stop a solve
     # and unit_tol would fail every state; unit_tol = inf would accept states
     # off the sphere, which the bound assumes away
