@@ -23,6 +23,13 @@ _CONFIG_KEYS = {
     "fp_tol", "unit_tol", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
 }
 
+# the modes that read each mode-specific key; every other key is read by all modes
+_KEY_MODES = {
+    "tau": ("fixed", "adaptive"), "tau_min": ("fixed", "adaptive"),
+    "snapshots": ("fixed", "adaptive"), "strategy": ("adaptive",), "tol0": ("adaptive",),
+    "tau_max": ("adaptive",), "eoc_taus": ("eoc",), "tau_ref": ("eoc",),
+}
+
 _DEFAULT_EOC_TAUS = "2^-7,2^-8,2^-9,2^-10"
 
 
@@ -110,6 +117,14 @@ def _build_run_config(values: dict):
     return RunConfig(solver=SolverConfig(**_given(values, SolverConfig)), **run_kw)
 
 
+def _reject_unread_keys(values: dict):
+    """ConfigError for the keys that the chosen mode does not read."""
+    mode = values.get("mode", "fixed")
+    unread = sorted(key for key in values if mode not in _KEY_MODES.get(key, (mode,)))
+    if unread:
+        raise ConfigError(f"{mode} mode does not read {', '.join(unread)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -117,6 +132,7 @@ def main(argv=None) -> int:
         eoc_mode = values.get("mode") == "eoc"
         # eoc mode validates its run keys as the fixed runs of the study
         cfg = _build_run_config({**values, "mode": "fixed"} if eoc_mode else values)
+        _reject_unread_keys(values)
         if eoc_mode:
             taus = [_parse_number(tok)
                     for tok in values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")]

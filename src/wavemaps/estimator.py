@@ -14,17 +14,17 @@ factors that depend on one state alone (u x w, lap u x u, |w|, |grad u|,
 computes them once per accepted state and uses them on both intervals
 that state bounds.  Under the smallness condition A_u^2 + tau * B_u < 1/4
 they yield point-wise upper bounds for each residual part of the
-reconstruction, valid uniformly on the interval.  The bounds feed two
-scalar rates:
+reconstruction, valid uniformly on the interval.  The bound record also
+keeps the majorants W = C_w + tau * B_w >= |wtilde| (hence >= |utilde x
+wtilde|) and G = 2 (C_u_x + tau * B_u_x) >= |grad utilde|, which
+residual_bounds forms once; the two scalar rates read only that record:
 
     alpha_hat = ||bd_rg + bd_ru * W + bd_rw||_2 + ||bd_ru||_2 + ||bd_grad_ru||_2
     delta_hat = 1 + C_Q ||G^2 + W^2||_p + 2 C_Q ||W||_2p^2
                 + 2 C_Q ||G||_2p ||W||_2p + 4 ||W||_inf
 
-with the majorants W = C_w + tau * B_w >= |wtilde| (hence >= |utilde x wtilde|)
-and G = 2 (C_u_x + tau * B_u_x) >= |grad utilde|.  The exponent p = P_EXP
-and the embedding constant C_Q are fixed by the stability estimate, not
-settings.  The total bound obeys the recurrence
+The exponent p = P_EXP and the embedding constant C_Q are fixed by the
+stability estimate, not settings.  The total bound obeys the recurrence
 
     B_j = (B_{j-1} + int_alpha_j) * exp(int_delta_j / 2),
 
@@ -72,7 +72,7 @@ class LocalBounds:
 
 @dataclass
 class ResidualBoundFields:
-    """Point-wise upper bounds for the residual parts on one interval."""
+    """Point-wise residual bounds on one interval and the majorants W and G."""
 
     bd_ru1: np.ndarray
     bd_grad_ru1: np.ndarray
@@ -82,6 +82,8 @@ class ResidualBoundFields:
     bd_grad_ru3: np.ndarray
     bd_rw: np.ndarray
     bd_rg: np.ndarray
+    W: np.ndarray
+    G: np.ndarray
 
     @property
     def bd_ru(self) -> np.ndarray:
@@ -161,7 +163,8 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     S = tB_w + C_w * small
     del small
     S += A_u * A_w
-    bd_rg = (C_w + tB_w) * S
+    W = C_w + tB_w
+    bd_rg = W * S
     bd_rg += S**2
     del S
 
@@ -198,7 +201,8 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     bd_rw += A_u_x**2
     A_x += (1.0 + C_u_x) * tau * B_u
     A_x += t2B_u_xB_u
-    A_x *= 2.0 * Gx
+    G = 2.0 * Gx
+    A_x *= G
     bd_rw += A_x
     del A_x, Gx
 
@@ -235,14 +239,15 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
         bd_grad_ru3=bd_grad_ru3,
         bd_rw=bd_rw,
         bd_rg=bd_rg,
+        W=W,
+        G=G,
     )
 
 
-def alpha_hat(rbf: ResidualBoundFields, lb: LocalBounds, tau: float, g: Grid2D) -> float:
+def alpha_hat(rbf: ResidualBoundFields, g: Grid2D) -> float:
     """Interval-uniform upper bound for the residual rate alpha."""
-    W = lb.C_w + tau * lb.B_w
     bd_ru = rbf.bd_ru
-    combined = rbf.bd_rg + bd_ru * W + rbf.bd_rw
+    combined = rbf.bd_rg + bd_ru * rbf.W + rbf.bd_rw
     return (
         gr.lp_norm(combined, 2.0, g)
         + gr.lp_norm(bd_ru, 2.0, g)
@@ -250,10 +255,9 @@ def alpha_hat(rbf: ResidualBoundFields, lb: LocalBounds, tau: float, g: Grid2D) 
     )
 
 
-def delta_hat(lb: LocalBounds, tau: float, g: Grid2D) -> float:
+def delta_hat(rbf: ResidualBoundFields, g: Grid2D) -> float:
     """Interval-uniform upper bound for the Gronwall rate delta."""
-    W = lb.C_w + tau * lb.B_w
-    G = 2.0 * (lb.C_u_x + tau * lb.B_u_x)
+    W, G = rbf.W, rbf.G
     A_hat = G * G + W * W
     norm_W = gr.lp_norm(W, 2.0 * P_EXP, g)
     norm_G = gr.lp_norm(G, 2.0 * P_EXP, g)

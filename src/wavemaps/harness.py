@@ -293,7 +293,7 @@ def _rates(rec, tau, g):
     if not check_smallness(lb, tau):
         return False, 0.0, 0.0
     rbf = residual_bounds(lb, tau)
-    return True, alpha_hat(rbf, lb, tau, g), delta_hat(lb, tau, g)
+    return True, alpha_hat(rbf, g), delta_hat(rbf, g)
 
 
 def _check_constraints(t, u, w, mag_w, unit_tol):
@@ -350,8 +350,11 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     comparison times nest: the reference stores the step times of the
     finest tau that it lands on, k * tau_ref to within 2^-40, and every step
     time of every coarse tau must be one of them.  Taus that do not nest
-    raise ConfigError before any run.
+    raise ConfigError before any run, as do a tau_ref or a tau that is not
+    positive and finite.
     """
+    if not all(0.0 < t < math.inf for t in (tau_ref, *taus)):
+        raise ConfigError("tau_ref and every eoc tau must be positive and finite")
     solver = solver if solver is not None else SolverConfig()
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):

@@ -186,10 +186,10 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
     The iteration is Gauss-Seidel: each sweep updates u from the current
     midpoints, refreshes mu from the new u, and updates w from that mu;
     mw follows from the new w.  It stops once the max-norm change of both
-    iterates is <= cfg.fp_tol.  The iteration starts from (u_n, w_n), or
-    from ``guess = (u_g, w_g)`` when given: the first sweep then uses the
-    midpoints (u_n + u_g)/2 and (w_n + w_g)/2, and the first convergence
-    test compares with the guess.  A good guess, such as the extrapolated
+    iterates is <= cfg.fp_tol.  The iteration starts from ``guess = (u_g,
+    w_g)``, by default (u_n, w_n): the first sweep uses the midpoints
+    (u_n + u_g)/2 and (w_n + w_g)/2, and the first convergence test
+    compares with the guess.  A good guess, such as the extrapolated
     last step, saves sweeps; the fixed point and the stopping rule stay.
     The sweeps allocate nothing: every field they write (the midpoints,
     one cross/scale buffer, the Laplacian and its padded copy, a scalar
@@ -208,18 +208,15 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
     s = np.empty(shape[:2])
     us = (np.empty(shape), np.empty(shape))
     ws = (np.empty(shape), np.empty(shape))
-    u, w = u_n, w_n
-    m_u, m_w = u_n, w_n  # midpoints of the iterate (u_n, w_n)
-    if guess is not None:
-        u, w = guess
-        m_u = np.add(u_n, u, out=mu)
-        m_u *= 0.5
-        m_w = np.add(w_n, w, out=mw)
-        m_w *= 0.5
+    u, w = (u_n, w_n) if guess is None else guess
+    np.add(u_n, u, out=mu)  # midpoints of the start; (x + x) * 0.5 == x exactly
+    mu *= 0.5
+    np.add(w_n, w, out=mw)
+    mw *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, FP_MAX_ITER + 1):
             u_new, w_new = us[it % 2], ws[it % 2]
-            gr.cross(m_u, m_w, out=c, tmp=s)  # u_new = u_n + tau * (mu x mw)
+            gr.cross(mu, mw, out=c, tmp=s)  # u_new = u_n + tau * (mu x mw)
             c *= tau
             np.add(u_n, c, out=u_new)
             np.add(u_n, u_new, out=mu)  # mu = (u_n + u_new) / 2
@@ -230,7 +227,6 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
             np.add(w_n, c, out=w_new)
             np.add(w_n, w_new, out=mw)  # mw = (w_n + w_new) / 2
             mw *= 0.5
-            m_u, m_w = mu, mw
             np.subtract(u_new, u, out=c)
             du = float(np.abs(c, out=c).max())
             np.subtract(w_new, w, out=c)

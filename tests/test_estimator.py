@@ -199,6 +199,10 @@ def ref_residual_bounds(lb, tau):
     S = tB_w + C_w * (A_u2 + tB_u) + A_u * A_w
     bd_rg = (C_w + tB_w) * S + S**2
 
+    # the majorants W >= |wtilde| and G >= |grad utilde|
+    W = C_w + tau * B_w
+    G = 2.0 * (C_u_x + tau * B_u_x)
+
     return ResidualBoundFields(
         bd_ru1=bd_ru1,
         bd_grad_ru1=bd_grad_ru1,
@@ -208,6 +212,8 @@ def ref_residual_bounds(lb, tau):
         bd_grad_ru3=bd_grad_ru3,
         bd_rw=bd_rw,
         bd_rg=bd_rg,
+        W=W,
+        G=G,
     )
 
 
@@ -289,9 +295,14 @@ def test_check_smallness_arithmetic():
 
 
 def test_residual_bounds_zero_for_time_constant():
-    rbf = residual_bounds(const_bounds(G, C_w=0.7, C_u_x=1.0, C_u_xx=2.0), 0.1)
+    lb = const_bounds(G, C_w=0.7, C_u_x=1.0, C_u_xx=2.0)
+    rbf = residual_bounds(lb, 0.1)
     for f in dataclasses.fields(rbf):
-        assert np.abs(getattr(rbf, f.name)).max() == 0.0
+        if f.name not in ("W", "G"):
+            assert np.abs(getattr(rbf, f.name)).max() == 0.0, f.name
+    # with B_w = B_u_x = 0 the majorants are the endpoint maxima alone
+    assert rbf.W.tobytes() == lb.C_w.tobytes()
+    assert rbf.G.tobytes() == (2.0 * lb.C_u_x).tobytes()
 
 
 def test_residual_bounds_closed_form_substitution():
@@ -311,19 +322,18 @@ def test_residual_bounds_requires_smallness():
 
 
 def test_alpha_hat_trivial_values():
-    lb = const_bounds(G)
-    rbf = residual_bounds(lb, 0.1)
-    assert alpha_hat(rbf, lb, 0.1, G) == 0.0
+    rbf = residual_bounds(const_bounds(G), 0.1)
+    assert alpha_hat(rbf, G) == 0.0
     g0 = 0.37
     rbf2 = dataclasses.replace(rbf, bd_rg=np.full(G.shape, g0))
-    assert abs(alpha_hat(rbf2, lb, 0.1, G) - g0) < 1e-13
+    assert abs(alpha_hat(rbf2, G) - g0) < 1e-13
 
 
 def test_delta_hat_trivial_and_constant_values():
-    assert abs(delta_hat(const_bounds(G), 0.1, G) - 1.0) < 1e-14
+    assert abs(delta_hat(residual_bounds(const_bounds(G), 0.1), G) - 1.0) < 1e-14
     # W == 1, G == 0: 1 + C_Q |W^2|_p + 2 C_Q |W|_2p^2 + 0 + 4 |W|_inf = 17 with C_Q = 4
-    lb = const_bounds(G, C_w=1.0)
-    assert abs(delta_hat(lb, 0.1, G) - 17.0) < 1e-12
+    rbf = residual_bounds(const_bounds(G, C_w=1.0), 0.1)
+    assert abs(delta_hat(rbf, G) - 17.0) < 1e-12
 
 
 def test_bound_monotonicity_in_local_quantities():
@@ -331,8 +341,8 @@ def test_bound_monotonicity_in_local_quantities():
     tau = rec.tau
     lb = local_quantities(rec, G)
     rbf0 = residual_bounds(lb, tau)
-    a0 = alpha_hat(rbf0, lb, tau, G)
-    d0 = delta_hat(lb, tau, G)
+    a0 = alpha_hat(rbf0, G)
+    d0 = delta_hat(rbf0, G)
     for f in dataclasses.fields(LocalBounds):
         bumped = dataclasses.replace(lb, **{f.name: getattr(lb, f.name) * 1.3 + 0.01})
         if not check_smallness(bumped, tau):
@@ -341,8 +351,8 @@ def test_bound_monotonicity_in_local_quantities():
         for bf in dataclasses.fields(rbf1):
             assert np.all(getattr(rbf1, bf.name) >= getattr(rbf0, bf.name) - 1e-15), \
                 f"{bf.name} decreased when {f.name} grew"
-        assert alpha_hat(rbf1, bumped, tau, G) >= a0 - 1e-13
-        assert delta_hat(bumped, tau, G) >= d0 - 1e-13
+        assert alpha_hat(rbf1, G) >= a0 - 1e-13
+        assert delta_hat(rbf1, G) >= d0 - 1e-13
 
 
 def test_halving_tau_halves_differences_and_quarters_alpha():
@@ -362,8 +372,8 @@ def test_halving_tau_halves_differences_and_quarters_alpha():
         mask = coarse > 1e-3 * coarse.max()
         ratio = fine[mask] / coarse[mask]
         assert 0.35 < np.median(ratio) < 0.65
-    a_c = alpha_hat(residual_bounds(lb_c, tau), lb_c, tau, G)
-    a_f = alpha_hat(residual_bounds(lb_f, tau / 2), lb_f, tau / 2, G)
+    a_c = alpha_hat(residual_bounds(lb_c, tau), G)
+    a_f = alpha_hat(residual_bounds(lb_f, tau / 2), G)
     assert 3.0 < a_c / a_f < 5.0
 
 

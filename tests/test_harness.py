@@ -582,6 +582,35 @@ def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsy
     assert "eoc_taus do not nest" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("mode, line, flags", [
+    # keys the chosen mode never reads
+    ("fixed", "eoc_taus = 2^-3", []),
+    ("fixed", "tau_ref = 0.3", []),
+    ("adaptive", "eoc_taus = 2^-7,2^-8", []),
+    ("eoc", "tau_min = 0.01", []),
+    ("eoc", "snapshots = 7", []),
+    ("eoc", "", ["--tau", "0.5"]),
+    # an eoc reference step or eoc tau outside (0, inf)
+    ("eoc", "tau_ref = 0", []),
+    ("eoc", "tau_ref = nan", []),
+    ("eoc", "eoc_taus = 2^-4,nan", []),
+    ("eoc", "eoc_taus = inf,2^-4", []),
+], ids=["fixed-eoc_taus", "fixed-tau_ref", "adaptive-eoc_taus", "eoc-tau_min",
+        "eoc-snapshots", "eoc-tau", "eoc-tau_ref_zero", "eoc-tau_ref_nan", "eoc-tau_nan",
+        "eoc-tau_inf"])
+def test_cli_rejects_invalid_configuration_before_any_run(tmp_path, monkeypatch, capsys,
+                                                          mode, line, flags):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"grid = 8\ntend = 0.03\n{line}\n")
+    runs = []
+    for module in (harness, cli):  # fixed and adaptive runs call the name cli imported
+        monkeypatch.setattr(module, "run", lambda cfg: runs.append(cfg))
+    rc = cli.main(["--config", str(cfgfile), "--mode", mode, *flags])
+    assert rc == 3 and runs == []
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["fixed", "eoc"])
 def test_cli_rejects_nan_tend(capsys, mode):
     rc = cli.main(["--mode", mode, "--grid", "8", "--tend", "nan"])

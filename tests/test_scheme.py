@@ -215,6 +215,26 @@ def test_warm_and_cold_step_reach_the_same_fixed_point():
         assert a.tobytes() == b.tobytes()
 
 
+def test_default_start_is_the_guess_of_the_current_state():
+    # a cold start is the guess (u_n, w_n): same fields, same sweeps, and
+    # the same NonConvergence when the step diverges
+    g = Grid2D(16)
+    cfg = SolverConfig()
+    u, w = initial_data(g)
+    for _ in range(2):  # away from w = 0
+        u, w, _ = step(u, w, 2.0**-8, cfg, g)
+    cold = step(u, w, 2.0**-8, cfg, g)
+    warm = step(u, w, 2.0**-8, cfg, g, guess=(u, w))
+    assert [a.tobytes() for a in cold[:2]] == [a.tobytes() for a in warm[:2]]
+    assert cold[2] == warm[2]
+    failures = []
+    for guess in (None, (u, w)):
+        with pytest.raises(NonConvergence) as exc:
+            step(u, w, 1.0, cfg, g, guess=guess)
+        failures.append((str(exc.value), exc.value.iterations))
+    assert failures[0] == failures[1]
+
+
 def test_step_allocates_nothing_beyond_its_buffers():
     # With every buffer allocated before the loop, any field-sized
     # temporary inside the loop would raise the traced peak above the
