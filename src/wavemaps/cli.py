@@ -12,25 +12,15 @@ Exit codes: 0 on success, 2 when the step controller hits its floor,
 import argparse
 import os
 import sys
+from collections import namedtuple
 from dataclasses import fields
 
 from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController
 from .harness import ConfigError, RunConfig, StepFloor, run, run_eoc_study, write_eoc_csv
 from .scheme import SolverConfig
 
-_CONFIG_KEYS = {
-    "grid", "mode", "tau", "tend", "strategy", "tol0", "out", "initial",
-    "fp_tol", "unit_tol", "tau_min", "tau_max", "snapshots", "eoc_taus", "tau_ref",
-}
-
-# the modes that read each mode-specific key; every other key is read by all modes
-_KEY_MODES = {
-    "tau": ("fixed", "adaptive"), "tau_min": ("fixed", "adaptive"),
-    "snapshots": ("fixed", "adaptive"), "strategy": ("adaptive",), "tol0": ("adaptive",),
-    "tau_max": ("adaptive",), "eoc_taus": ("eoc",), "tau_ref": ("eoc",),
-}
-
-_DEFAULT_EOC_TAUS = "2^-7,2^-8,2^-9,2^-10"
+_MODES = ("fixed", "adaptive", "eoc")
+_EOC_DEFAULTS = {"eoc_taus": "2^-7,2^-8,2^-9,2^-10", "tau_ref": "2^-13"}
 
 
 def _parse_number(text):
@@ -39,6 +29,31 @@ def _parse_number(text):
     if text.startswith("2^"):
         return 2.0 ** float(text[2:])
     return float(text)
+
+
+def _parse_times(text):
+    return tuple(_parse_number(tok) for tok in text.split(","))
+
+
+# per config key: the dataclass field it sets (None: main reads it), parser, modes reading it
+_Key = namedtuple("_Key", "field parse modes")
+_KEYS = {
+    "grid": _Key("M", int, _MODES),
+    "mode": _Key("mode", str, _MODES),
+    "tend": _Key("t_end", _parse_number, _MODES),
+    "out": _Key("out_dir", str, _MODES),
+    "initial": _Key("initial", str, _MODES),
+    "fp_tol": _Key("fp_tol", _parse_number, _MODES),
+    "unit_tol": _Key("unit_tol", _parse_number, _MODES),
+    "tau": _Key("tau", _parse_number, ("fixed", "adaptive")),
+    "tau_min": _Key("tau_min", _parse_number, ("fixed", "adaptive")),
+    "snapshots": _Key("snapshot_times", _parse_times, ("fixed", "adaptive")),
+    "strategy": _Key("strategy", str, ("adaptive",)),
+    "tol0": _Key("tol0", _parse_number, ("adaptive",)),
+    "tau_max": _Key("tau_max", _parse_number, ("adaptive",)),
+    "eoc_taus": _Key(None, _parse_times, ("eoc",)),
+    "tau_ref": _Key(None, _parse_number, ("eoc",)),
+}
 
 
 def load_config_file(path) -> dict:
@@ -52,7 +67,7 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -65,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "error bounds and adaptive time stepping.")
     ap.add_argument("--config", help="flat key = value configuration file")
     ap.add_argument("--out", help="output directory for CSVs and field dumps")
-    ap.add_argument("--mode", choices=["fixed", "adaptive", "eoc"])
+    ap.add_argument("--mode", choices=_MODES)
     ap.add_argument("--tau", help="step size (fixed) or initial step (adaptive)")
     ap.add_argument("--grid", type=int, help="cells per axis M")
     ap.add_argument("--tend", help="final time")
@@ -82,45 +97,30 @@ def _merge(args) -> dict:
     return values
 
 
-# parsers of the config keys that are not plain numbers
-_PARSERS = {
-    "grid": int, "mode": str, "strategy": str, "initial": str, "out": str,
-    "snapshots": lambda text: tuple(_parse_number(tok) for tok in text.split(",")),
-}
-# config keys named differently from their RunConfig field
-_FIELD_NAMES = {"grid": "M", "tend": "t_end", "out": "out_dir", "snapshots": "snapshot_times"}
-
-
 def _given(values: dict, cls) -> dict:
-    """Keyword arguments of dataclass cls for the keys the user gave; the
-    fields left out keep the defaults cls defines."""
+    """Keyword arguments of dataclass cls for the given keys; the rest keep cls's defaults."""
     names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, text in values.items():
-        name = _FIELD_NAMES.get(key, key)
-        if name in names:
-            kwargs[name] = _PARSERS.get(key, _parse_number)(text)
-    return kwargs
+    return {spec.field: spec.parse(values[key])
+            for key, spec in _KEYS.items() if key in values and spec.field in names}
 
 
 def _build_run_config(values: dict):
     run_kw = _given(values, RunConfig)
-    ctrl_kw = _given(values, AdaptiveController)
     if values.get("mode") == "adaptive":
+        ctrl_kw = _given(values, AdaptiveController)
         if ctrl_kw.get("strategy") == UPDATED_TOLERANCE:
             ctrl_kw.setdefault("tol0", 1e-6)
         run_kw["controller"] = AdaptiveController(**ctrl_kw)
         run_kw.setdefault("tau", 2.0**-10)
-    elif ctrl_kw:
-        raise ConfigError(f"controller keys {', '.join(sorted(ctrl_kw))} "
-                          "apply to adaptive mode only")
     return RunConfig(solver=SolverConfig(**_given(values, SolverConfig)), **run_kw)
 
 
 def _reject_unread_keys(values: dict):
-    """ConfigError for the keys that the chosen mode does not read."""
+    """ConfigError for an unknown mode or a key that the mode does not read."""
     mode = values.get("mode", "fixed")
-    unread = sorted(key for key in values if mode not in _KEY_MODES.get(key, (mode,)))
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    unread = sorted(key for key in values if mode not in _KEYS[key].modes)
     if unread:
         raise ConfigError(f"{mode} mode does not read {', '.join(unread)}")
 
@@ -129,14 +129,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = _merge(args)
+        _reject_unread_keys(values)
         eoc_mode = values.get("mode") == "eoc"
         # eoc mode validates its run keys as the fixed runs of the study
         cfg = _build_run_config({**values, "mode": "fixed"} if eoc_mode else values)
-        _reject_unread_keys(values)
         if eoc_mode:
-            taus = [_parse_number(tok)
-                    for tok in values.get("eoc_taus", _DEFAULT_EOC_TAUS).split(",")]
-            tau_ref = _parse_number(values.get("tau_ref", "2^-13"))
+            taus, tau_ref = (_KEYS[key].parse(values.get(key, default))
+                             for key, default in _EOC_DEFAULTS.items())
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

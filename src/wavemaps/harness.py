@@ -350,9 +350,11 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     comparison times nest: the reference stores the step times of the
     finest tau that it lands on, k * tau_ref to within 2^-40, and every step
     time of every coarse tau must be one of them.  Taus that do not nest
-    raise ConfigError before any run, as do a tau_ref or a tau that is not
-    positive and finite.
+    raise ConfigError before any run, as do an empty list of taus and a
+    tau_ref or a tau that is not positive and finite.
     """
+    if not taus:
+        raise ConfigError("the study needs at least one eoc tau")
     if not all(0.0 < t < math.inf for t in (tau_ref, *taus)):
         raise ConfigError("tau_ref and every eoc tau must be positive and finite")
     solver = solver if solver is not None else SolverConfig()

@@ -1,7 +1,7 @@
 import math
 import pathlib
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -318,6 +318,8 @@ def test_small_eoc_study_errors_decrease():
 def test_eoc_study_rejects_bad_reference():
     with pytest.raises(ConfigError):
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-4, t_end=0.1)
+    with pytest.raises(ConfigError, match="at least one eoc tau"):
+        run_eoc_study(M=8, taus=[], tau_ref=2.0**-8, t_end=0.1)
 
 
 def test_adaptive_run_rejections_do_not_advance_time():
@@ -504,7 +506,28 @@ def test_readme_documents_exactly_the_config_keys():
     further = re.findall(r"`(\w+)`", re.search(r"Further keys:(.*?)\.\s", text, re.S).group(1))
     documented = in_block + further
     assert len(documented) == len(set(documented))
-    assert set(documented) == cli._CONFIG_KEYS
+    assert set(documented) == set(cli._KEYS)
+    # the sentence that says which modes read which keys
+    sentence = " ".join(re.search(r"(Every\s+mode reads.*?)so a key", text, re.S).group(1).split())
+    readers = {"Every mode reads": {"fixed", "adaptive", "eoc"},
+               "fixed and adaptive runs also read": {"fixed", "adaptive"},
+               "only adaptive runs": {"adaptive"}, "only eoc runs": {"eoc"}}
+    parts = re.split(f"({'|'.join(readers)})", sentence)[1:]
+    assert parts[::2] == list(readers)
+    modes = {}
+    for phrase, clause in zip(parts[::2], parts[1::2]):
+        for key in re.findall(r"`(\w+)`", clause):
+            modes[key] = readers[phrase]
+    assert modes == {key: set(spec.modes) for key, spec in cli._KEYS.items()}
+
+
+def test_every_config_key_sets_one_dataclass_field():
+    owners = [{f.name for f in fields(cls)} for cls in (RunConfig, AdaptiveController, SolverConfig)]
+    for key, spec in cli._KEYS.items():
+        if key in ("eoc_taus", "tau_ref"):
+            assert spec.field is None  # main reads them itself
+        else:
+            assert sum(spec.field in names for names in owners) == 1, key
 
 
 def test_cli_step_floor_exit_code(tmp_path):
@@ -541,7 +564,8 @@ def test_cli_rejects_controller_keys_outside_adaptive_mode(tmp_path, capsys, mod
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 3
     captured = capsys.readouterr()
-    assert "tau_max, tol0" in captured.err and captured.out == ""
+    unread = {"fixed": "eoc_taus, tau_max, tau_ref, tol0", "eoc": "tau_max, tol0"}[mode]
+    assert f"{mode} mode does not read {unread}" in captured.err and captured.out == ""
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
