@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Configuration comes from an optional flat text file (one ``key = value``
-per line, ``#`` comments) overridden by command-line flags.  Supported
+per line, ``#`` comments) overridden by command-line flags; a flag's value
+is parsed once by its key's ``_KEYS`` parser, like a file value.  Supported
 modes: ``fixed`` and ``adaptive`` single runs, and ``eoc`` which drives a
 step-halving self-convergence study and writes eoc.csv.
 
 Exit codes: 0 on success, 2 when the step controller hits its floor,
-3 on configuration errors, 4 when a run fails for any other reason.
+3 on configuration errors, a bad flag too, 4 when a run fails for any
+other reason.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .harness import ConfigError, RunConfig, StepFloor, run, run_eoc_study, writ
 from .scheme import SolverConfig
 
 _MODES = ("fixed", "adaptive", "eoc")
-_EOC_DEFAULTS = {"eoc_taus": "2^-7,2^-8,2^-9,2^-10", "tau_ref": "2^-13"}
+_EOC_DEFAULTS = {"eoc_taus": (2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10), "tau_ref": 2.0**-13}
 
 
 def _parse_number(text):
@@ -69,38 +71,43 @@ def load_config_file(path) -> dict:
             key = key.strip().lower()
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+            values[key] = _KEYS[key].parse(value.strip())
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError instead of exiting 2, the step floor's code."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wavemaps",
         description="Sphere-valued wave field simulator with a posteriori "
                     "error bounds and adaptive time stepping.")
     ap.add_argument("--config", help="flat key = value configuration file")
-    ap.add_argument("--out", help="output directory for CSVs and field dumps")
-    ap.add_argument("--mode", choices=_MODES)
-    ap.add_argument("--tau", help="step size (fixed) or initial step (adaptive)")
-    ap.add_argument("--grid", type=int, help="cells per axis M")
-    ap.add_argument("--tend", help="final time")
-    ap.add_argument("--strategy", choices=[EQUIDISTRIBUTE, UPDATED_TOLERANCE])
-    ap.add_argument("--tol0", help="base tolerance for the adaptive controller")
+    for key, text in (("out", "output directory for CSVs and field dumps"),
+                      ("mode", "fixed, adaptive or eoc"),
+                      ("tau", "step size (fixed) or initial step (adaptive)"),
+                      ("grid", "cells per axis M"), ("tend", "final time"),
+                      ("strategy", f"{EQUIDISTRIBUTE} or {UPDATED_TOLERANCE}"),
+                      ("tol0", "base tolerance for the adaptive controller")):
+        ap.add_argument(f"--{key}", type=_KEYS[key].parse, help=text)  # parsed as in a file
     return ap
 
 
 def _merge(args) -> dict:
     values = load_config_file(args.config) if args.config else {}
-    for key, v in vars(args).items():
-        if key != "config" and v is not None:
-            values[key] = str(v)
+    values.update((key, v) for key, v in vars(args).items() if key != "config" and v is not None)
     return values
 
 
 def _given(values: dict, cls) -> dict:
     """Keyword arguments of dataclass cls for the given keys; the rest keep cls's defaults."""
     names = {f.name for f in fields(cls)}
-    return {spec.field: spec.parse(values[key])
+    return {spec.field: values[key]
             for key, spec in _KEYS.items() if key in values and spec.field in names}
 
 
@@ -126,17 +133,15 @@ def _reject_unread_keys(values: dict):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        values = _merge(args)
+        values = _merge(build_parser().parse_args(argv))
         _reject_unread_keys(values)
         eoc_mode = values.get("mode") == "eoc"
         # eoc mode validates its run keys as the fixed runs of the study
         cfg = _build_run_config({**values, "mode": "fixed"} if eoc_mode else values)
         if eoc_mode:
-            taus, tau_ref = (_KEYS[key].parse(values.get(key, default))
-                             for key, default in _EOC_DEFAULTS.items())
-    except (ConfigError, ValueError, OSError) as exc:
+            taus, tau_ref = (values.get(key, default) for key, default in _EOC_DEFAULTS.items())
+    except (ConfigError, ValueError, OverflowError, OSError) as exc:  # 2^2000 overflows
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -346,12 +346,13 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     """Self-convergence study against a fine-step reference on the same grid.
 
     Returns rows (tau, err_w, eoc_w, err_gu, eoc_gu); the first row carries
-    None for both EOC entries.  The settings alone decide whether the
-    comparison times nest: the reference stores the step times of the
-    finest tau that it lands on, k * tau_ref to within 2^-40, and every step
-    time of every coarse tau must be one of them.  Taus that do not nest
-    raise ConfigError before any run, as do an empty list of taus and a
-    tau_ref or a tau that is not positive and finite.
+    None for both EOC entries.  An EOC is log2 of an error ratio, so each
+    sorted tau must be exactly twice the next.  The reference stores the
+    step times of the finest tau, each of which must be a step time
+    k * tau_ref to within 2^-40; a coarser step time k * (2^j * tau_f)
+    rounds the same real product as (k * 2^j) * tau_f, so it is stored too.
+    Taus that do not halve or nest raise ConfigError before any run, as do
+    an empty list of taus and a tau_ref or a tau not positive and finite.
     """
     if not taus:
         raise ConfigError("the study needs at least one eoc tau")
@@ -361,30 +362,24 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):
         raise ConfigError("every coarse tau must exceed tau_ref")
-    finest = min(taus)
-    for tau in taus:
-        for s in _step_times(tau, t_end)[:-1]:  # every run reaches t_end
-            t_ref = round(s / tau_ref) * tau_ref  # the reference's step time nearest s
-            if not (abs(t_ref - s) <= _TIME_ATOL
-                    and abs(round(s / finest) * finest - t_ref) <= _TIME_ATOL):
-                raise ConfigError(f"eoc_taus do not nest: step time {s!r} of tau {tau!r} "
-                                  f"is not a step time of tau_ref {tau_ref!r} and of the "
-                                  f"finest tau {finest!r}")
-    store = tuple(_step_times(finest, t_end))
+    for coarse, fine in zip(taus, taus[1:]):
+        if coarse != 2.0 * fine:
+            raise ConfigError(f"eoc_taus do not halve: {coarse!r} is not twice {fine!r}")
+    store = tuple(_step_times(taus[-1], t_end))
+    for s in store[:-1]:  # every run reaches t_end
+        if abs(round(s / tau_ref) * tau_ref - s) > _TIME_ATOL:
+            raise ConfigError(f"eoc_taus do not nest: step time {s!r} of the finest tau "
+                              f"{taus[-1]!r} is not a step time of tau_ref {tau_ref!r}")
     ref = run(RunConfig(M=M, mode="fixed", tau=tau_ref, t_end=t_end, solver=solver,
                         initial=initial, store_times=store))
     rows = []
-    prev = None
     for tau in taus:
-        cfg = RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
-                        initial=initial, store_times=tuple(_step_times(tau, t_end)))
-        traj = run(cfg)
+        traj = run(RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
+                             initial=initial, store_times=tuple(_step_times(tau, t_end))))
         err_w, err_gu = energy_norm_error(traj, ref)
-        if prev is None:
-            rows.append((tau, err_w, None, err_gu, None))
-        else:
-            rows.append((tau, err_w, eoc(prev[0], err_w), err_gu, eoc(prev[1], err_gu)))
-        prev = (err_w, err_gu)
+        eoc_w, eoc_gu = ((eoc(rows[-1][1], err_w), eoc(rows[-1][3], err_gu)) if rows
+                         else (None, None))
+        rows.append((tau, err_w, eoc_w, err_gu, eoc_gu))
     return rows
 
 

@@ -594,8 +594,10 @@ def test_cli_eoc_mode(tmp_path, capsys):
 
 @pytest.mark.parametrize("taus", ["0.003,0.0015", "2^-7,0.0029296875"])
 def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsys, taus):
-    # 0.003 is no multiple of tau_ref = 2^-12; 2^-7 is no multiple of the
-    # finest tau 3 * 2^-10, whose step times are all the reference stores
+    # 0.003 halves to 0.0015, which is no multiple of tau_ref = 2^-12;
+    # 2^-7 is not twice 3 * 2^-10, so no EOC of the pair would be an order
+    message = {"0.003,0.0015": "eoc_taus do not nest",
+               "2^-7,0.0029296875": "eoc_taus do not halve"}[taus]
     cfgfile = tmp_path / "eoc.cfg"
     cfgfile.write_text(f"eoc_taus = {taus}\ntau_ref = 2^-12\n")
     runs = []
@@ -603,7 +605,7 @@ def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsy
     rc = cli.main(["--config", str(cfgfile), "--mode", "eoc", "--grid", "8", "--tend", "0.03"])
     assert rc == 3 and runs == []  # decided from the settings, before any run
     captured = capsys.readouterr()
-    assert "eoc_taus do not nest" in captured.err and captured.out == ""
+    assert message in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("mode, line, flags", [
@@ -619,9 +621,19 @@ def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsy
     ("eoc", "tau_ref = nan", []),
     ("eoc", "eoc_taus = 2^-4,nan", []),
     ("eoc", "eoc_taus = inf,2^-4", []),
+    # eoc taus that do not halve: log2 of an error ratio would be no order
+    ("eoc", "eoc_taus = 2^-5,2^-7,2^-8\ntau_ref = 2^-11", []),
+    # flags that do not parse or do not exist, and values no run takes
+    ("fixed", "", ["--grid", "x"]),
+    ("foo", "", []),
+    ("fixed", "", ["--bogus", "1"]),
+    ("adaptive", "", ["--strategy", "bar"]),
+    ("fixed", "", ["--tau", "2^2000"]),
+    ("fixed", "tau = 2^2000", []),
 ], ids=["fixed-eoc_taus", "fixed-tau_ref", "adaptive-eoc_taus", "eoc-tau_min",
         "eoc-snapshots", "eoc-tau", "eoc-tau_ref_zero", "eoc-tau_ref_nan", "eoc-tau_nan",
-        "eoc-tau_inf"])
+        "eoc-tau_inf", "eoc-taus_not_halving", "flag-grid_not_int", "flag-mode_unknown",
+        "flag-unknown", "flag-strategy_unknown", "flag-tau_overflow", "file-tau_overflow"])
 def test_cli_rejects_invalid_configuration_before_any_run(tmp_path, monkeypatch, capsys,
                                                           mode, line, flags):
     cfgfile = tmp_path / "bad.cfg"
@@ -651,6 +663,30 @@ def test_cli_eoc_mode_rejects_invalid_run_keys(tmp_path, capsys, line):
     assert rc == 3
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and captured.out == ""
+
+
+def test_cli_flags_parse_like_file_values(tmp_path):
+    args = cli.build_parser().parse_args(["--mode", "fixed", "--grid", "128", "--tau",
+                                          "0.00048828125", "--tend", "0.0125",
+                                          "--out", "snapshots"])
+    assert args.grid == 128 and type(args.grid) is int
+    flags = {"out": "o", "mode": "adaptive", "tau": "2^-9", "grid": "16", "tend": "0.1",
+             "strategy": "updated", "tol0": "1e-6"}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in flags.items()))
+    argv = [token for key, value in flags.items() for token in (f"--{key}", value)]
+    from_flags = cli._merge(cli.build_parser().parse_args(argv))
+    from_file = cli.load_config_file(cfgfile)
+    assert from_flags == from_file
+    assert {key: type(v) for key, v in from_flags.items()} == \
+        {key: type(v) for key, v in from_file.items()}
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--grid" in capsys.readouterr().out
 
 
 def test_cli_defaults_are_the_dataclass_defaults():
