@@ -10,13 +10,13 @@ Two strategies:
     larger; this avoids over-refining near the end of the run.  Once the
     factor overflows, the tolerance is inf and every evaluable step passes.
 
-Fixed-step runs use a third, internal strategy, ``fixed``: accept every
-step whatever its density and never grow the step.
+Fixed-step runs take no controller: ``decide(None, ...)`` accepts every
+step that can be evaluated, whatever its density, and never grows it.
 
 A rejected attempt is retried at half its size (SHRINK) under every
-strategy.  A non-converged nonlinear solve, a failed smallness condition,
+policy.  A non-converged nonlinear solve, a failed smallness condition,
 or a rate that is not finite always forces a rejection, independent of
-the strategy and the tolerance.
+the policy and the tolerance.
 
 The controller holds settings only.  The running tolerance is state of
 one run: the caller passes it to ``decide`` and carries ``tol_next``
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 EQUIDISTRIBUTE = "equidistribute"
 UPDATED_TOLERANCE = "updated"
-FIXED = "fixed"
 
 # step-size gains; the a posteriori bound does not depend on them.  An
 # accept whose density is below SAFETY * tol grows the step by GROW.
@@ -41,7 +40,7 @@ SAFETY = 0.4
 class Decision:
     accepted: bool
     tau_next: float  # next step size (accept) or retry step size (reject)
-    tol_next: float  # tolerance for the next attempt
+    tol_next: float | None  # tolerance for the next attempt; None without a controller
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class AdaptiveController:
     tau_max: float = 2.0**-6
 
     def __post_init__(self):
-        if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED):
+        if self.strategy not in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.tau_max > 0.0:
             raise ValueError("tau_max must be positive")
@@ -59,8 +58,8 @@ class AdaptiveController:
             raise ValueError("tol0 must be positive")
 
 
-def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
-           delta_hat_j: float, fp_converged: bool, tol: float) -> Decision:
+def decide(ctrl: AdaptiveController | None, tau: float, alpha_hat_j: float,
+           delta_hat_j: float, fp_converged: bool, tol: float | None) -> Decision:
     """Accept/reject the step just computed under tolerance ``tol`` and
     propose the next step size and tolerance.
 
@@ -68,11 +67,12 @@ def decide(ctrl: AdaptiveController, tau: float, alpha_hat_j: float,
     nonlinear solve failed or the smallness condition broke.  The density
     compared against the tolerance is alpha_hat itself, since the interval
     integral of the bound is exactly tau * alpha_hat.  Under the updated
-    strategy an accept also grows the tolerance.
+    strategy an accept also grows the tolerance.  ``ctrl`` None is the
+    fixed-step policy: accept every evaluable step at its own size.
     """
     if not (fp_converged and math.isfinite(alpha_hat_j) and math.isfinite(delta_hat_j)):
         return Decision(accepted=False, tau_next=tau * SHRINK, tol_next=tol)
-    if ctrl.strategy == FIXED:
+    if ctrl is None:
         return Decision(accepted=True, tau_next=tau, tol_next=tol)
     density = alpha_hat_j
     if density > tol:

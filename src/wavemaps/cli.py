@@ -58,6 +58,15 @@ _KEYS = {
 }
 
 
+def _parse(key, text, where):
+    """key's value in text.  A text that does not parse raises a ConfigError naming
+    where it came from; argparse passes that on, so a flag's error exits 3 too."""
+    try:
+        return _KEYS[key].parse(text)
+    except (ValueError, OverflowError):  # 2^2000 overflows
+        raise ConfigError(f"{where}: cannot parse {text!r}") from None
+
+
 def load_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -71,7 +80,7 @@ def load_config_file(path) -> dict:
             key = key.strip().lower()
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _KEYS[key].parse(value.strip())
+            values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
@@ -94,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                       ("grid", "cells per axis M"), ("tend", "final time"),
                       ("strategy", f"{EQUIDISTRIBUTE} or {UPDATED_TOLERANCE}"),
                       ("tol0", "base tolerance for the adaptive controller")):
-        ap.add_argument(f"--{key}", type=_KEYS[key].parse, help=text)  # parsed as in a file
+        ap.add_argument(f"--{key}", type=lambda v, k=key: _parse(k, v, f"--{k}"), help=text)
     return ap
 
 
@@ -141,7 +150,7 @@ def main(argv=None) -> int:
         cfg = _build_run_config({**values, "mode": "fixed"} if eoc_mode else values)
         if eoc_mode:
             taus, tau_ref = (values.get(key, default) for key, default in _EOC_DEFAULTS.items())
-    except (ConfigError, ValueError, OverflowError, OSError) as exc:  # 2^2000 overflows
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -5,9 +5,9 @@ T_end, evaluates the residual bounds and the rates alpha_hat/delta_hat on
 every accepted interval, and feeds them into the accumulated error bound.
 Fixed and adaptive runs share one step loop: the step controller accepts
 or rejects every attempt, and each attempt is one row of
-``Trajectory.controller_rows``.  Fixed-step runs use its internal
-``fixed`` strategy: accept every step that can be evaluated and never
-grow.  In both modes a rejected attempt is retried at half its size
+``Trajectory.controller_rows``.  Fixed-step runs take no controller:
+``decide(None, ...)`` accepts every step that can be evaluated and never
+grows it.  In both modes a rejected attempt is retried at half its size
 (``adapt.SHRINK``).  The controller is a frozen policy.  The run keeps the
 running tolerance as its own state and reads its one step floor,
 ``RunConfig.tau_min``, in both modes: a retry below it stops the run with
@@ -37,7 +37,6 @@ dyadic fixed steps guarantee that exactly.
 """
 
 import bisect
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gr
-from .adapt import FIXED, AdaptiveController, decide
+from .adapt import AdaptiveController, decide
 from .estimator import (EstimatorState, accumulate, alpha_hat, check_smallness,
                         delta_hat, local_quantities, residual_bounds)
 from .grid import Grid2D
@@ -80,9 +79,6 @@ class StepFloor(Exception):
     """A rejection would push tau below tau_min; the run cannot continue."""
 
 
-# the policy of every fixed-mode run; it never grows, so tau_max is not read
-_FIXED_CONTROLLER = AdaptiveController(strategy=FIXED)
-
 _INITIAL_DATA = {"problem": initial_data, "constant": constant_data, "rotation": rotation_data}
 
 
@@ -93,7 +89,7 @@ class RunConfig:
     tau: float = 2.0**-9  # fixed step size, or initial step in adaptive mode
     t_end: float = 0.2
     solver: SolverConfig = field(default_factory=SolverConfig)
-    controller: AdaptiveController | None = None  # adaptive only; None -> defaults
+    controller: AdaptiveController | None = None  # adaptive: None -> defaults; fixed: None
     initial: str = "problem"  # "problem" | "constant" | "rotation"
     tau_min: float = 2.0**-20  # step floor of both modes: a retry below it stops the run
     out_dir: str | None = None
@@ -121,8 +117,6 @@ class RunConfig:
             return
         if self.controller is None:
             self.controller = AdaptiveController()
-        if self.controller.strategy == FIXED:
-            raise ConfigError("the fixed strategy belongs to fixed mode")
         if self.tau_min > self.controller.tau_max:
             raise ConfigError("need tau_min <= tau_max")
 
@@ -175,8 +169,8 @@ def run(cfg: RunConfig) -> Trajectory:
     """Drive one full simulation; returns the trajectory with all diagnostics."""
     g = Grid2D(cfg.M)
     est = EstimatorState()  # B_0 = 0: the run starts from the exact initial datum
-    ctrl = cfg.controller if cfg.mode == "adaptive" else _FIXED_CONTROLLER
-    tol = ctrl.tol0  # the updated strategy grows it on every accept
+    ctrl = cfg.controller  # None: a fixed run
+    tol = None if ctrl is None else ctrl.tol0  # the updated strategy grows it on every accept
 
     snapshot_times = cfg.snapshot_times
     if snapshot_times is None:
@@ -208,14 +202,13 @@ def run(cfg: RunConfig) -> Trajectory:
     u, w = _initial_state(cfg, g)
     terms = endpoint_terms(u, w, g)  # carried forward with the state
     keep(t, tau, u, w, terms)
-    pristine = cfg.mode == "fixed"  # until the first rejection, every step is cfg.tau
+    pristine = ctrl is None  # until the first rejection, every step is cfg.tau
     last = None  # (u, w, tau) before the last accepted step
 
     while cfg.t_end - t > cfg.tau_min:
         tau_eff = min(tau, cfg.t_end - t)
         clamped = tau_eff < tau
-        a_j = d_j = 0.0
-        ok = False  # the solve converged and the smallness condition holds
+        a_j = d_j = None  # rates only if the solve converges and the smallness condition holds
         try:
             u1, w1, iterations = step(u, w, tau_eff, cfg.solver, g,
                                       guess=_extrapolate(last, u, w, tau_eff))
@@ -226,9 +219,9 @@ def run(cfg: RunConfig) -> Trajectory:
             # held until the next attempt rebinds it: freeing it sooner slowed M = 128 runs
             rec = StepRecord(grid=g, t_n=t, t_np1=t + tau_eff, u_n=u, u_np1=u1,
                              w_n=w, w_np1=w1, ends=(terms, terms1))
-            ok, a_j, d_j = _rates(rec, tau_eff, g)
+            a_j, d_j = _rates(rec, tau_eff, g)
 
-        decision = decide(ctrl, tau_eff, a_j, d_j, ok, tol)
+        decision = decide(ctrl, tau_eff, a_j, d_j, a_j is not None, tol)
         controller_rows.append(
             (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
         fp_iterations.append(iterations)
@@ -284,16 +277,16 @@ def _extrapolate(last, u, w, tau):
 
 
 def _rates(rec, tau, g):
-    """(smallness holds, alpha_hat, delta_hat) of one solved attempt.
+    """(alpha_hat, delta_hat) of one solved attempt; both None if smallness fails.
 
     The local quantities and bound fields die with this call, so they are
     not held through the next solve.
     """
     lb = local_quantities(rec, g)
     if not check_smallness(lb, tau):
-        return False, 0.0, 0.0
+        return None, None
     rbf = residual_bounds(lb, tau)
-    return True, alpha_hat(rbf, g), delta_hat(rbf, g)
+    return alpha_hat(rbf, g), delta_hat(rbf, g)
 
 
 def _check_constraints(t, u, w, mag_w, unit_tol):
@@ -352,12 +345,12 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     k * tau_ref to within 2^-40; a coarser step time k * (2^j * tau_f)
     rounds the same real product as (k * 2^j) * tau_f, so it is stored too.
     Taus that do not halve or nest raise ConfigError before any run, as do
-    an empty list of taus and a tau_ref or a tau not positive and finite.
+    an empty list of taus and a t_end, tau_ref or tau not positive and finite.
     """
     if not taus:
         raise ConfigError("the study needs at least one eoc tau")
-    if not all(0.0 < t < math.inf for t in (tau_ref, *taus)):
-        raise ConfigError("tau_ref and every eoc tau must be positive and finite")
+    if not all(0.0 < t < math.inf for t in (t_end, tau_ref, *taus)):
+        raise ConfigError("t_end, tau_ref and every eoc tau must be positive and finite")
     solver = solver if solver is not None else SolverConfig()
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):
@@ -402,12 +395,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    """One table: strings as given, None as an empty cell, numbers as %.17g."""
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(header)
-        for row in rows:
-            wtr.writerow([v if v is None or isinstance(v, str) else _fmt(v) for v in row])
+    """One table, LF line ends: strings as given, None as an empty cell, numbers as %.17g."""
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fh.write(",".join("" if v is None else v if isinstance(v, str) else _fmt(v)
+                              for v in row) + "\n")
 
 
 def _write_outputs(cfg: RunConfig, traj: Trajectory):
@@ -415,14 +407,12 @@ def _write_outputs(cfg: RunConfig, traj: Trajectory):
     _write_csv(os.path.join(cfg.out_dir, "estimator.csv"),
                ["t_j", "tau_j", "alpha_hat", "delta_hat", "int_alpha", "int_delta", "B_j"],
                traj.estimator_rows)
-    if cfg.mode == "adaptive":
-        _write_csv(os.path.join(cfg.out_dir, "controller.csv"),
-                   ["t_j", "tau_j", "decision", "current_tol", "density"],
-                   traj.controller_rows)
+    _write_csv(os.path.join(cfg.out_dir, "controller.csv"),
+               ["t_j", "tau_j", "decision", "current_tol", "density"], traj.controller_rows)
     gr.write_field(os.path.join(cfg.out_dir, "final_u.wmf"), traj.final_u)
     gr.write_field(os.path.join(cfg.out_dir, "final_w.wmf"), traj.final_w)
     with open(os.path.join(cfg.out_dir, "final.txt"), "w") as fh:
-        fh.write(f"t={_fmt(traj.final_t)} tau={_fmt(traj.estimator_rows[-1][1] if traj.estimator_rows else cfg.tau)}\n")
+        fh.write(f"t={_fmt(traj.final_t)} tau={_fmt(traj.estimator_rows[-1][1])}\n")
 
 
 def _write_snapshot(out_dir, index, t, tau, u, w, g):

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from wavemaps import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, SolverConfig, decide
-from wavemaps.adapt import FIXED, GROW
+from wavemaps.adapt import GROW
 
 
 def make(strategy=EQUIDISTRIBUTE, **kw):
@@ -93,25 +93,26 @@ def test_updated_tolerance_stays_infinite_and_accepts_later_steps():
 
 
 def test_fixed_strategy_accepts_any_density_and_never_grows():
-    ctrl = make(FIXED)
+    # the fixed-step policy: no controller and no tolerance
     for density in (0.0, 1e-3, 1e9):
-        d = decide(ctrl, 0.01, density, 5.0, fp_converged=True, tol=ctrl.tol0)
+        d = decide(None, 0.01, density, 5.0, fp_converged=True, tol=None)
         assert d.accepted and d.tau_next == 0.01
-        assert d.tol_next == ctrl.tol0
-    d = decide(ctrl, 0.01, 0.0, 0.0, fp_converged=False, tol=ctrl.tol0)
+        assert d.tol_next is None
+    d = decide(None, 0.01, None, None, fp_converged=False, tol=None)
     assert not d.accepted and d.tau_next == 0.005
 
 
-@pytest.mark.parametrize("strategy", [EQUIDISTRIBUTE, UPDATED_TOLERANCE, FIXED])
+@pytest.mark.parametrize("strategy", [EQUIDISTRIBUTE, UPDATED_TOLERANCE,
+                                      pytest.param(None, id="fixed")])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("which", ["alpha_hat", "delta_hat"])
 def test_nonfinite_rates_are_rejected(strategy, bad, which):
-    ctrl = make(strategy, tol0=1e9)
+    ctrl = None if strategy is None else make(strategy, tol0=1e9)  # None: a fixed run
+    tol = None if ctrl is None else ctrl.tol0
     rates = {"alpha_hat": 1e-6, "delta_hat": 1.0, which: bad}
-    d = decide(ctrl, 0.01, rates["alpha_hat"], rates["delta_hat"], fp_converged=True,
-               tol=ctrl.tol0)
+    d = decide(ctrl, 0.01, rates["alpha_hat"], rates["delta_hat"], fp_converged=True, tol=tol)
     assert not d.accepted and d.tau_next == 0.005
-    assert d.tol_next == ctrl.tol0
+    assert d.tol_next == tol
 
 
 def test_decisions_deterministic():
@@ -135,8 +136,9 @@ def test_controller_rejects_nan_tol0():
 
 
 def test_controller_validation():
-    with pytest.raises(ValueError):
-        AdaptiveController(strategy="nonsense")
+    for strategy in ("nonsense", "fixed"):  # a fixed run takes no controller
+        with pytest.raises(ValueError, match="unknown strategy"):
+            AdaptiveController(strategy=strategy)
     with pytest.raises(ValueError):
         AdaptiveController(tau_max=0.0)
     with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_fixed_run_times_are_exact_dyadic_multiples():
     assert traj.final_t >= 0.2 - cfg.tau_min
 
 
-def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch):
+def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch, tmp_path):
     # tau = 1/8 and 1/16 are above the solver's convergence threshold at
     # M = 16, and after three steps at 1/32 the smallness condition fails
     import wavemaps.harness as hz
@@ -84,12 +84,18 @@ def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch):
 
     monkeypatch.setattr(hz, "step", watched_step)
     monkeypatch.setattr(hz, "check_smallness", watched_smallness)
-    traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3))
+    traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.3, out_dir=str(tmp_path)))
     assert failures == [("solver", 2.0**-3), ("solver", 2.0**-4), ("smallness", 2.0**-5)]
     assert (traj.n_accepted, traj.n_rejected) == (17, 3)
-    # fixed runs record every attempt, like adaptive ones
+    # fixed runs record every attempt, like adaptive ones, in controller.csv
+    # too: no tolerance, and no density for an attempt that was not evaluated
     decisions = [row[2] for row in traj.controller_rows]
     assert len(decisions) == 20 and decisions.count("reject") == 3
+    table = [line.split(",") for line in (tmp_path / "controller.csv").read_text().splitlines()]
+    assert table[0] == ["t_j", "tau_j", "decision", "current_tol", "density"]
+    assert len(table) == 21 and all(row[3] == "" for row in table[1:])
+    assert [row[4] for row in table[1:] if row[2] == "reject"] == ["", "", ""]
+    assert all(float(row[4]) >= 0.0 for row in table[1:] if row[2] == "accept")
     assert traj.est.log_B == pytest.approx(702.0615168150063, rel=1e-9)
     taus = [row[1] for row in traj.estimator_rows]
     assert taus[:3] == [2.0**-5] * 3
@@ -103,6 +109,7 @@ def test_outputs_and_snapshot_roundtrip(tmp_path):
     cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.1, initial="problem",
                     out_dir=str(out))
     traj = run(cfg)
+    assert b"\r" not in (out / "estimator.csv").read_bytes()  # LF line ends
     est = (out / "estimator.csv").read_text().splitlines()
     assert est[0] == "t_j,tau_j,alpha_hat,delta_hat,int_alpha,int_delta,B_j"
     assert len(est) == 1 + traj.n_accepted
@@ -315,11 +322,19 @@ def test_small_eoc_study_errors_decrease():
         assert 1.0 < eoc_gu < 3.0
 
 
-def test_eoc_study_rejects_bad_reference():
+def test_eoc_study_rejects_bad_reference(monkeypatch):
     with pytest.raises(ConfigError):
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-4, t_end=0.1)
     with pytest.raises(ConfigError, match="at least one eoc tau"):
         run_eoc_study(M=8, taus=[], tau_ref=2.0**-8, t_end=0.1)
+
+    # the step times of t_end = inf never end: the study must stop before them
+    def endless(tau, t_end):
+        raise AssertionError("step times listed for t_end = inf")
+
+    monkeypatch.setattr(harness, "_step_times", endless)
+    with pytest.raises(ConfigError, match="t_end"):
+        run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=math.inf)
 
 
 def test_adaptive_run_rejections_do_not_advance_time():
@@ -407,12 +422,12 @@ def test_run_checks_the_initial_state(monkeypatch):
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(mode="nonsense")
-    # the fixed strategy is internal to fixed mode, which takes no controller at all
-    with pytest.raises(ConfigError):
+    # fixed mode takes no controller at all, and no controller has a fixed strategy
+    with pytest.raises(ValueError, match="unknown strategy"):
         RunConfig(mode="adaptive", controller=AdaptiveController(strategy="fixed"))
     with pytest.raises(ConfigError):
         RunConfig(mode="fixed", controller=AdaptiveController())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown strategy"):
         RunConfig(mode="fixed", controller=AdaptiveController(strategy="fixed"))
     with pytest.raises(ConfigError):
         RunConfig(t_end=-1.0)
@@ -545,6 +560,22 @@ def test_cli_rejects_fixed_strategy(tmp_path, capsys):
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == 3
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("tau = abc", [], "bad.cfg:2: tau: cannot parse 'abc'"),
+    ("tau = 2^2000", [], "bad.cfg:2: tau: cannot parse '2^2000'"),
+    ("", ["--tau", "abc"], "--tau: cannot parse 'abc'"),
+], ids=["file-text", "file-overflow", "flag-text"])
+def test_cli_parse_errors_name_the_key_and_the_text(tmp_path, monkeypatch, capsys,
+                                                     line, flags, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"grid = 8\n{line}\n")
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["--config", "bad.cfg", *flags])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
