@@ -13,16 +13,3 @@ from .reconstruct import (DegenerateNorm, a_terms, eval_residuals, eval_ustar_wt
                           eval_utilde)
 from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data, energy,
                      initial_data, rotation_data, step)
-
-__all__ = [
-    "EQUIDISTRIBUTE", "UPDATED_TOLERANCE", "AdaptiveController", "StepFloor", "decide",
-    "EstimatorState", "LocalBounds", "SmallnessViolated", "accumulate", "alpha_hat",
-    "check_smallness", "delta_hat", "local_quantities", "residual_bounds",
-    "Grid2D", "cross", "dirichlet_form", "dot", "gradient_sq", "integrate", "laplacian",
-    "lp_norm", "magnitude", "read_field", "write_field", "write_field_csv",
-    "ConfigError", "NonPositiveError", "RunConfig", "TimeMismatch", "Trajectory",
-    "energy_norm_error", "eoc", "run", "run_eoc_study",
-    "DegenerateNorm", "a_terms", "eval_residuals", "eval_ustar_wtilde", "eval_utilde",
-    "NonConvergence", "SolverConfig", "StepRecord", "constant_data", "energy",
-    "initial_data", "rotation_data", "step",
-]

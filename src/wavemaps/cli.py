@@ -12,13 +12,12 @@ other reason.
 """
 
 import argparse
-import os
 import sys
 from collections import namedtuple
 from dataclasses import fields
 
 from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController
-from .harness import ConfigError, RunConfig, StepFloor, run, run_eoc_study, write_eoc_csv
+from .harness import ConfigError, RunConfig, StepFloor, run, run_eoc_study
 from .scheme import SolverConfig
 
 _MODES = ("fixed", "adaptive", "eoc")
@@ -156,16 +155,13 @@ def main(argv=None) -> int:
     try:
         if eoc_mode:
             rows = run_eoc_study(cfg.M, taus, tau_ref, cfg.t_end, solver=cfg.solver,
-                                 initial=cfg.initial)
+                                 initial=cfg.initial, out_dir=cfg.out_dir)
             print(f"{'tau':>12} {'err_w':>12} {'eoc_w':>7} {'err_gu':>12} {'eoc_gu':>7}")
             for tau, err_w, eoc_w, err_gu, eoc_gu in rows:
                 print(f"{tau:12.6g} {err_w:12.4e} "
                       f"{'---' if eoc_w is None else format(eoc_w, '7.2f')} "
                       f"{err_gu:12.4e} "
                       f"{'---' if eoc_gu is None else format(eoc_gu, '7.2f')}")
-            if cfg.out_dir:
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                write_eoc_csv(os.path.join(cfg.out_dir, "eoc.csv"), rows)
         else:
             traj = run(cfg)
             print(f"finished at t={traj.final_t:.6g} after {traj.n_accepted} steps "

@@ -4,20 +4,23 @@ A run advances the midpoint scheme from the configured initial state to
 T_end, evaluates the residual bounds and the rates alpha_hat/delta_hat on
 every accepted interval, and feeds them into the accumulated error bound.
 Fixed and adaptive runs share one step loop: the step controller accepts
-or rejects every attempt, and each attempt is one row of
-``Trajectory.controller_rows``.  Fixed-step runs take no controller:
-``decide(None, ...)`` accepts every step that can be evaluated and never
-grows it.  In both modes a rejected attempt is retried at half its size
-(``adapt.SHRINK``).  The controller is a frozen policy.  The run keeps the
-running tolerance as its own state and reads its one step floor,
-``RunConfig.tau_min``, in both modes: a retry below it stops the run with
-StepFloor.  Each state's EndpointTerms (its Laplacian and the per-state
-factors of the bounds) are computed once, when the state is solved, and
-carried to the next interval in its StepRecord.  Once a step has been
-accepted, every attempt, a retry too, starts its fixed-point solve from
-the last accepted step extrapolated linearly to its own step size; the
-attempts before the first accept start from the current state.  The
-solver's tolerance bounds what the start changes in the results.
+or rejects every attempt, and each attempt, with its fixed-point sweeps,
+is one row of ``Trajectory.controller_rows``.  The run creates its
+Trajectory first and fills it in place.  Fixed-step runs take no
+controller: ``decide(None, ...)`` accepts every step that can be evaluated
+and never grows it; an adaptive run starts at min(tau, tau_max), so
+``tau_max`` caps every attempt.  In both modes a rejected attempt is
+retried at half its size (``adapt.SHRINK``).  The controller is a frozen
+policy.  The run keeps the running tolerance as its own state and reads
+its one step floor, ``RunConfig.tau_min``, in both modes: a retry below it
+stops the run with StepFloor.  Each state's EndpointTerms (its Laplacian
+and the per-state factors of the bounds) are computed once, when the state
+is solved, and carried to the next interval in its StepRecord.  Once a
+step has been accepted, every attempt, a retry too, starts its
+fixed-point solve from the last accepted step extrapolated linearly to its
+own step size; the attempts before the first accept start from the
+current state.  The solver's tolerance bounds what the start changes in
+the results.
 
 The initial state and every accepted state take one path: energy, the
 unit-length and orthogonality constraints to ``SolverConfig.unit_tol``
@@ -109,8 +112,9 @@ class RunConfig:
             raise ConfigError("M must be at least 2")
         if not 0.0 < self.tau_min < self.t_end:  # else the run takes no step
             raise ConfigError("need 0 < tau_min < t_end")
-        if self.snapshot_times is not None and not all(map(math.isfinite, self.snapshot_times)):
-            raise ConfigError("snapshot times must be finite")  # a NaN breaks their order
+        for name, times in (("snapshot", self.snapshot_times or ()), ("store", self.store_times)):
+            if not all(map(math.isfinite, times)):
+                raise ConfigError(f"{name} times must be finite")  # a NaN breaks their order
         if self.mode == "fixed":
             if self.controller is not None:
                 raise ConfigError("fixed mode takes no controller; its step floor is tau_min")
@@ -126,13 +130,14 @@ class Trajectory:
     grid: Grid2D
     states: list  # stored (t, u, w) triples
     est: EstimatorState
-    controller_rows: list  # per attempt: (t_attempt, tau, decision, tolerance used, density)
-    fp_iterations: list  # per attempt: fixed-point iterations, also of a failed solve
+    # per attempt: (t_attempt, tau, decision, tolerance used, density,
+    # fixed-point iterations, also of a failed solve)
+    controller_rows: list
     estimator_rows: list  # (t_j, tau_j, alpha_hat, delta_hat, int_alpha, int_delta, B_j)
     energies: list  # E at t=0 and after every accepted step
-    unit_dev_max: float
+    unit_dev_max: float  # max||u|-1| and max|u.w| over the kept states
     orth_dev_max: float
-    final_t: float
+    final_t: float  # the last kept state
     final_u: np.ndarray
     final_w: np.ndarray
 
@@ -168,9 +173,9 @@ def _pop_reached(pending: list, t: float) -> list:
 def run(cfg: RunConfig) -> Trajectory:
     """Drive one full simulation; returns the trajectory with all diagnostics."""
     g = Grid2D(cfg.M)
-    est = EstimatorState()  # B_0 = 0: the run starts from the exact initial datum
     ctrl = cfg.controller  # None: a fixed run
     tol = None if ctrl is None else ctrl.tol0  # the updated strategy grows it on every accept
+    tau = cfg.tau if ctrl is None else min(cfg.tau, ctrl.tau_max)  # tau_max caps every attempt
 
     snapshot_times = cfg.snapshot_times
     if snapshot_times is None:
@@ -179,27 +184,27 @@ def run(cfg: RunConfig) -> Trajectory:
     n_snaps = len(snaps)
     stores = sorted(cfg.store_times)
 
-    states: list = []
-    controller_rows: list = []
-    fp_iterations: list = []
-    estimator_rows: list = []
-    energies: list = []
-    devs: list = []  # (max||u|-1|, max|u.w|) of every kept state
+    t = 0.0
+    u, w = _initial_state(cfg, g)
+    # B_0 = 0: the run starts from the exact initial datum
+    traj = Trajectory(grid=g, states=[], est=EstimatorState(), controller_rows=[],
+                      estimator_rows=[], energies=[], unit_dev_max=0.0, orth_dev_max=0.0,
+                      final_t=t, final_u=u, final_w=w)
 
     def keep(t, tau, u, w, terms):
         """Diagnostics, stores and snapshots of the initial or an accepted state."""
-        energies.append(energy(u, w, g))
-        devs.append(_check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol))
+        traj.energies.append(energy(u, w, g))
+        unit_dev, orth_dev = _check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol)
+        traj.unit_dev_max = max(traj.unit_dev_max, unit_dev)
+        traj.orth_dev_max = max(traj.orth_dev_max, orth_dev)
+        traj.final_t, traj.final_u, traj.final_w = t, u, w
         for s in _pop_reached(stores, t):
             if abs(t - s) <= _TIME_ATOL:
-                states.append((t, u.copy(), w.copy()))
+                traj.states.append((t, u.copy(), w.copy()))
         first = n_snaps - len(snaps)  # snapshots written so far
         for index in range(first, first + len(_pop_reached(snaps, t))):
             _write_snapshot(cfg.out_dir, index, t, tau, u, w, g)
 
-    tau = cfg.tau
-    t = 0.0
-    u, w = _initial_state(cfg, g)
     terms = endpoint_terms(u, w, g)  # carried forward with the state
     keep(t, tau, u, w, terms)
     pristine = ctrl is None  # until the first rejection, every step is cfg.tau
@@ -222,9 +227,8 @@ def run(cfg: RunConfig) -> Trajectory:
             a_j, d_j = _rates(rec, tau_eff, g)
 
         decision = decide(ctrl, tau_eff, a_j, d_j, a_j is not None, tol)
-        controller_rows.append(
-            (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j))
-        fp_iterations.append(iterations)
+        traj.controller_rows.append(
+            (t, tau_eff, "accept" if decision.accepted else "reject", tol, a_j, iterations))
         tau, tol = decision.tau_next, decision.tol_next
         if not decision.accepted:
             if tau < cfg.tau_min:
@@ -233,25 +237,19 @@ def run(cfg: RunConfig) -> Trajectory:
             continue
 
         if pristine and not clamped:  # exact dyadic times for nested comparisons
-            t_new = (len(estimator_rows) + 1) * tau_eff
+            t_new = (len(traj.estimator_rows) + 1) * tau_eff
         else:
             t_new = cfg.t_end if clamped else t + tau_eff
 
         int_a = tau_eff * a_j
         int_d = tau_eff * d_j
-        accumulate(est, int_a, int_d)
-        estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, est.B_j))
+        accumulate(traj.est, int_a, int_d)
+        traj.estimator_rows.append((t_new, tau_eff, a_j, d_j, int_a, int_d, traj.est.B_j))
 
         last = (u, w, tau_eff)
         u, w, terms, t = u1, w1, terms1, t_new
         keep(t, tau_eff, u, w, terms)
 
-    traj = Trajectory(
-        grid=g, states=states, est=est, controller_rows=controller_rows,
-        fp_iterations=fp_iterations, estimator_rows=estimator_rows,
-        energies=energies, unit_dev_max=max(d for d, _ in devs),
-        orth_dev_max=max(d for _, d in devs), final_t=t, final_u=u, final_w=w,
-    )
     if cfg.out_dir is not None:
         _write_outputs(cfg, traj)
     return traj
@@ -335,7 +333,7 @@ def eoc(e_coarse: float, e_fine: float) -> float:
 
 
 def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
-                  solver: SolverConfig | None = None, initial: str = "problem"):
+                  solver: SolverConfig | None = None, initial: str = "problem", out_dir=None):
     """Self-convergence study against a fine-step reference on the same grid.
 
     Returns rows (tau, err_w, eoc_w, err_gu, eoc_gu); the first row carries
@@ -346,6 +344,7 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     rounds the same real product as (k * 2^j) * tau_f, so it is stored too.
     Taus that do not halve or nest raise ConfigError before any run, as do
     an empty list of taus and a t_end, tau_ref or tau not positive and finite.
+    With an ``out_dir``, the rows go to eoc.csv there once the study is done.
     """
     if not taus:
         raise ConfigError("the study needs at least one eoc tau")
@@ -373,6 +372,10 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
         eoc_w, eoc_gu = ((eoc(rows[-1][1], err_w), eoc(rows[-1][3], err_gu)) if rows
                          else (None, None))
         rows.append((tau, err_w, eoc_w, err_gu, eoc_gu))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(os.path.join(out_dir, "eoc.csv"),
+                   ["tau", "err_w", "eoc_w", "err_gu", "eoc_gu"], rows)
     return rows
 
 
@@ -408,7 +411,8 @@ def _write_outputs(cfg: RunConfig, traj: Trajectory):
                ["t_j", "tau_j", "alpha_hat", "delta_hat", "int_alpha", "int_delta", "B_j"],
                traj.estimator_rows)
     _write_csv(os.path.join(cfg.out_dir, "controller.csv"),
-               ["t_j", "tau_j", "decision", "current_tol", "density"], traj.controller_rows)
+               ["t_j", "tau_j", "decision", "current_tol", "density", "iterations"],
+               traj.controller_rows)
     gr.write_field(os.path.join(cfg.out_dir, "final_u.wmf"), traj.final_u)
     gr.write_field(os.path.join(cfg.out_dir, "final_w.wmf"), traj.final_w)
     with open(os.path.join(cfg.out_dir, "final.txt"), "w") as fh:
@@ -423,7 +427,3 @@ def _write_snapshot(out_dir, index, t, tau, u, w, g):
     gr.write_field_csv(os.path.join(out_dir, f"snap_{tag}_u.csv"), u, g)
     with open(os.path.join(out_dir, f"snap_{tag}.txt"), "w") as fh:
         fh.write(f"t={_fmt(t)} tau={_fmt(tau)}\n")
-
-
-def write_eoc_csv(path, rows):
-    _write_csv(path, ["tau", "err_w", "eoc_w", "err_gu", "eoc_gu"], rows)

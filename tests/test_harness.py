@@ -20,8 +20,7 @@ from test_scheme import cayley_apply, jacobi_step
 def mk_traj(g, states):
     z = np.zeros(g.shape + (3,))
     return Trajectory(grid=g, states=states,
-                      est=EstimatorState(), controller_rows=[], fp_iterations=[],
-                      estimator_rows=[],
+                      est=EstimatorState(), controller_rows=[], estimator_rows=[],
                       energies=[0.0], unit_dev_max=0.0, orth_dev_max=0.0,
                       final_t=states[-1][0] if states else 0.0, final_u=z, final_w=z)
 
@@ -92,8 +91,9 @@ def test_fixed_run_halves_on_failure_and_never_grows_back(monkeypatch, tmp_path)
     decisions = [row[2] for row in traj.controller_rows]
     assert len(decisions) == 20 and decisions.count("reject") == 3
     table = [line.split(",") for line in (tmp_path / "controller.csv").read_text().splitlines()]
-    assert table[0] == ["t_j", "tau_j", "decision", "current_tol", "density"]
+    assert table[0] == ["t_j", "tau_j", "decision", "current_tol", "density", "iterations"]
     assert len(table) == 21 and all(row[3] == "" for row in table[1:])
+    assert [int(row[5]) for row in table[1:]] == [row[5] for row in traj.controller_rows]
     assert [row[4] for row in table[1:] if row[2] == "reject"] == ["", "", ""]
     assert all(float(row[4]) >= 0.0 for row in table[1:] if row[2] == "accept")
     assert traj.est.log_B == pytest.approx(702.0615168150063, rel=1e-9)
@@ -178,10 +178,10 @@ def test_fp_iterations_record_every_attempt(monkeypatch):
 
     monkeypatch.setattr(hz, "step", watched_step)
     traj = run(RunConfig(M=16, mode="fixed", tau=2.0**-3, t_end=0.15))
-    assert traj.fp_iterations == seen
-    assert len(traj.fp_iterations) == len(traj.controller_rows)
+    sweeps = [row[5] for row in traj.controller_rows]
+    assert sweeps == seen
     assert [row[2] for row in traj.controller_rows[:3]] == ["reject", "reject", "accept"]
-    assert all(type(n) is int and n >= 1 for n in traj.fp_iterations)
+    assert all(type(n) is int and n >= 1 for n in sweeps)
 
 
 def test_gauss_seidel_saves_iterations_over_a_run(monkeypatch):
@@ -192,7 +192,8 @@ def test_gauss_seidel_saves_iterations_over_a_run(monkeypatch):
     jac = run(cfg)
     assert (gs.n_accepted, gs.n_rejected) == (jac.n_accepted, jac.n_rejected)
     assert gs.est.log_B == pytest.approx(jac.est.log_B, rel=1e-12)
-    assert sum(gs.fp_iterations) <= 0.75 * sum(jac.fp_iterations)
+    gs_sweeps, jac_sweeps = (sum(row[5] for row in traj.controller_rows) for traj in (gs, jac))
+    assert gs_sweeps <= 0.75 * jac_sweeps
 
 
 def test_run_starts_each_solve_from_the_extrapolated_last_step(monkeypatch):
@@ -232,7 +233,7 @@ def test_warm_start_saves_sweeps_on_the_eoc_reference():
     # the reference of the benchmark's EOC study: 1024 sweeps from cold starts
     traj = run(RunConfig(M=32, mode="fixed", tau=2.0**-13, t_end=2.0**-5))
     assert traj.n_accepted == 256
-    assert sum(traj.fp_iterations) <= 800
+    assert sum(row[5] for row in traj.controller_rows) <= 800
 
 
 def test_warm_start_keeps_the_criterion_8_decisions():
@@ -335,6 +336,16 @@ def test_eoc_study_rejects_bad_reference(monkeypatch):
     monkeypatch.setattr(harness, "_step_times", endless)
     with pytest.raises(ConfigError, match="t_end"):
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=math.inf)
+
+
+def test_adaptive_run_never_attempts_a_step_above_tau_max():
+    # the density of a step at 2^-6 lies in [0.4 tol, tol], so the controller
+    # would keep it: tau_max must cap the first attempt too
+    tau_max = 2.0**-9
+    ctrl = AdaptiveController(strategy=EQUIDISTRIBUTE, tol0=50.0, tau_max=tau_max)
+    traj = run(RunConfig(M=16, mode="adaptive", tau=2.0**-6, t_end=0.1, controller=ctrl))
+    assert traj.n_accepted > 0
+    assert all(row[1] <= tau_max for row in traj.controller_rows)
 
 
 def test_adaptive_run_rejections_do_not_advance_time():
@@ -465,6 +476,14 @@ def test_run_config_rejects_nonfinite_snapshot_times(times):
     # a NaN breaks the sorted schedule: the snapshot for t = 0.01 would be written at t = 0
     with pytest.raises(ConfigError, match="snapshot times"):
         RunConfig(snapshot_times=times)
+
+
+@pytest.mark.parametrize("times", [(2.0**-5, math.nan, 2.0**-6, 0.0),
+                                   (0.09375, math.nan, 0.03125)])
+def test_run_config_rejects_nonfinite_store_times(times):
+    # a NaN breaks the sorted schedule: stores on either side of it are dropped
+    with pytest.raises(ConfigError, match="store times must be finite"):
+        RunConfig(store_times=times)
 
 
 def test_run_config_rejects_tau_min_above_tau_max():
@@ -621,6 +640,10 @@ def test_cli_eoc_mode(tmp_path, capsys):
     assert lines[0] == "tau,err_w,eoc_w,err_gu,eoc_gu"
     assert len(lines) == 3
     assert "eoc_w" in capsys.readouterr().out
+    # the CLI's table is the one the study itself writes
+    lib = tmp_path / "lib"
+    run_eoc_study(M=8, taus=[2.0**-4, 2.0**-5], tau_ref=2.0**-8, t_end=0.05, out_dir=str(lib))
+    assert (lib / "eoc.csv").read_bytes() == (out / "eoc.csv").read_bytes()
 
 
 @pytest.mark.parametrize("taus", ["0.003,0.0015", "2^-7,0.0029296875"])
