@@ -97,35 +97,34 @@ class ResidualBoundFields:
 def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
     """Assemble every node-wise quantity entering the residual bounds.
 
-    One difference buffer holds du, dw, P, Q and dlap in turn.  Each is
-    mirror-padded once, and its magnitudes are written straight into the
-    LocalBounds arrays; P's pad serves |grad P| first and then lap P.
-    Every field equals the allocating operators' result bit for bit.
+    One difference buffer holds du, dw, P, Q and dlap in turn, and its
+    magnitudes are written straight into the LocalBounds arrays; two more
+    field-sized buffers hold the gradient components, and lap P with its
+    scratch.  Every field equals the allocating operators' result bit for
+    bit.
     """
     e0, e1 = rec.ends
     shape = rec.u_n.shape
     lb = LocalBounds(**{f.name: np.empty(shape[:2]) for f in fields(LocalBounds)})
-    d, fx = np.empty(shape), np.empty(shape)
-    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
+    d, fx, fy = np.empty(shape), np.empty(shape), np.empty(shape)
 
-    def magnitudes(a, a_x=None):
-        """|d| into a and, when asked, |grad d| into a_x; d is free once padded."""
-        gr.magnitude(d, out=a, tmp=fx)
+    def magnitudes(f, a, a_x=None):
+        """|f| into a and, when asked, |grad f| into a_x."""
+        gr.magnitude(f, out=a, tmp=fx)
         if a_x is not None:
-            gr.grad_magnitude_of_pad(gr.mirror_pad(d, pad), g, out=a_x, fx=fx, fy=d)
+            gr.grad_magnitude(f, g, out=a_x, fx=fx, fy=fy)
 
     np.subtract(rec.u_np1, rec.u_n, out=d)
-    magnitudes(lb.A_u, lb.A_u_x)
+    magnitudes(d, lb.A_u, lb.A_u_x)
     np.subtract(rec.w_np1, rec.w_n, out=d)
-    magnitudes(lb.A_w, lb.A_w_x)
+    magnitudes(d, lb.A_w, lb.A_w_x)
     np.subtract(e1.u_x_w, e0.u_x_w, out=d)  # P
-    magnitudes(lb.B_u, lb.B_u_x)
-    gr.laplacian_of_pad(pad, g, out=d)
-    magnitudes(lb.B_u_xx)
+    magnitudes(d, lb.B_u, lb.B_u_x)
+    magnitudes(gr.laplacian(d, g, out=fy, tmp=fx), lb.B_u_xx)
     np.subtract(e1.lap_u_x_u, e0.lap_u_x_u, out=d)  # Q
-    magnitudes(lb.B_w, lb.B_w_x)
+    magnitudes(d, lb.B_w, lb.B_w_x)
     np.subtract(e1.lap_u, e0.lap_u, out=d)
-    magnitudes(lb.A_u_xx)
+    magnitudes(d, lb.A_u_xx)
     np.maximum(e0.mag_w, e1.mag_w, out=lb.C_w)
     np.maximum(e0.grad_u, e1.grad_u, out=lb.C_u_x)
     np.maximum(e0.grad_w, e1.grad_w, out=lb.C_w_x)

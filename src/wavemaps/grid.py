@@ -3,7 +3,9 @@
 Nodes sit at x_i = -1/2 + i*h, i = 0..M, h = 1/M, along both axes.
 Homogeneous Neumann boundary conditions are realized through mirror
 ghost nodes (f[-1] := f[1] and so on), which makes the discrete normal
-derivative of every field vanish on the boundary.
+derivative of every field vanish on the boundary.  The stencils read a
+ghost where it lives, in row or column 1 or M - 1; no padded copy of a
+field is made.
 
 Vector fields are (M+1, M+1, 3) float64 arrays, scalar fields are
 (M+1, M+1); index [i, j] addresses the node (x_i, y_j), row-major with
@@ -74,77 +76,82 @@ def _sum3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
-def mirror_pad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f with one mirror ghost layer on each side, as np.pad(mode="reflect"),
-    written into ``out`` when given."""
-    fp = out
-    if fp is None:
-        fp = np.empty((f.shape[0] + 2, f.shape[1] + 2) + f.shape[2:], dtype=f.dtype)
-    fp[1:-1, 1:-1] = f
-    fp[0, 1:-1] = f[1]
-    fp[-1, 1:-1] = f[-2]
-    fp[:, 0] = fp[:, 2]
-    fp[:, -1] = fp[:, -3]
-    return fp
-
-
 def _check_shape(f: np.ndarray, g: Grid2D):
     if f.shape[:2] != g.shape:
         raise ValueError(f"field shape {f.shape} does not match grid M={g.M}")
 
 
-def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
-              pad: np.ndarray | None = None) -> np.ndarray:
-    """5-point Laplacian with mirror ghost nodes (Neumann boundary).
-
-    The result goes to ``out`` and the padded copy of f to ``pad``, an
-    (M+3, M+3, ...) scratch array; each is allocated when not given, and
-    ``out`` must not overlap f.
-    """
+def _stencil_args(f: np.ndarray, g: Grid2D, *bufs):
+    """f made C-contiguous, then each buffer or, where None, a new field of
+    f's shape.  The stencils write through flat views, so a given buffer
+    must be C-contiguous of f's shape."""
     _check_shape(f, g)
-    return laplacian_of_pad(mirror_pad(f, pad), g, out)
+    f = np.ascontiguousarray(f)
+    bufs = [np.empty(f.shape) if b is None else b for b in bufs]
+    for b in bufs:
+        if b.shape != f.shape or not b.flags.c_contiguous:
+            raise ValueError(f"stencil buffers must be C-contiguous of shape {f.shape}")
+    return f, *bufs
 
 
-def laplacian_of_pad(fp: np.ndarray, g: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
-    """Laplacian of the field whose mirror pad is fp, into ``out`` (allocated
-    when not given, never overlapping fp).  It scales the pad's centre in
-    place, so take every other difference of fp first."""
-    if out is None:
-        out = np.empty((fp.shape[0] - 2, fp.shape[1] - 2) + fp.shape[2:])
-    np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=out)
-    out += fp[1:-1, 2:]
-    out += fp[1:-1, :-2]
-    centre = fp[1:-1, 1:-1]  # a copy of f; the padded copy is scratch from here
-    centre *= 4.0
-    out -= centre
+def _edges(g: Grid2D):
+    """(edge, mirror) index slices of one axis: lines 0 and M, and the lines
+    1 and M - 1 their ghosts copy.  At M = 2 both ghosts copy line 1, a
+    single line that broadcasts over the two edges.  The kernels transpose
+    column views and pass order="C", so a ufunc's inner loop runs down a
+    column instead of over one node's components."""
+    return slice(None, None, g.M), slice(1, g.M, max(g.M - 2, 1))
+
+
+def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+    """5-point Laplacian ((x+ + x-) + y+) + y- - 4 f, then / h^2, with mirror
+    ghost nodes (Neumann boundary).  It goes to ``out``, which must not
+    overlap f, with scratch ``tmp`` (see _stencil_args).  The y neighbours
+    are f's flat node sequence shifted by one node; that sum wraps across
+    the edge columns, which are formed in tmp first and copied back."""
+    f, out, tmp = _stencil_args(f, g, out, tmp)
+    edge, mirror = _edges(g)
+    k = f[0, 0].size  # elements per node
+    rows, cols, edge_cols = f[mirror], f[:, mirror].T, tmp[:, edge].T
+    np.add(f[2:], f[:-2], out=out[1:-1])
+    np.add(rows, rows, out=out[edge])
+    np.add(out[:, edge].T, cols, out=edge_cols, order="C")
+    np.add(edge_cols, cols, out=edge_cols, order="C")
+    flat, f_flat = out.reshape(-1), f.reshape(-1)
+    flat[:-k] += f_flat[k:]
+    flat[k:] += f_flat[:-k]
+    out[:, edge] = edge_cols.T
+    np.multiply(f, 4.0, out=tmp)
+    out -= tmp
     out /= g.h * g.h
     return out
 
 
-def gradient(f: np.ndarray, g: Grid2D):
-    """Centered-difference components (df/dx, df/dy), mirror ghosts at the boundary."""
-    _check_shape(f, g)
-    return _gradient_of_pad(mirror_pad(f), g)
-
-
-def _gradient_of_pad(fp: np.ndarray, g: Grid2D, fx: np.ndarray | None = None,
-                     fy: np.ndarray | None = None):
+def gradient(f: np.ndarray, g: Grid2D, fx: np.ndarray | None = None,
+             fy: np.ndarray | None = None):
+    """Centered differences (f+ - f-) / (2h) along x and y, mirror ghosts at
+    the boundary, into ``fx`` and ``fy`` (not overlapping f).  fy is taken
+    over f's flat node sequence, then its edge columns are rewritten."""
+    f, fx, fy = _stencil_args(f, g, fx, fy)
+    edge, mirror = _edges(g)
+    k = f[0, 0].size
     s = 1.0 / (2.0 * g.h)
-    fx = np.subtract(fp[2:, 1:-1], fp[:-2, 1:-1], out=fx)
+    rows, cols, f_flat = f[mirror], f[:, mirror].T, f.reshape(-1)
+    np.subtract(f[2:], f[:-2], out=fx[1:-1])
+    np.subtract(rows, rows, out=fx[edge])
     fx *= s
-    fy = np.subtract(fp[1:-1, 2:], fp[1:-1, :-2], out=fy)
+    np.subtract(f_flat[2 * k:], f_flat[:-2 * k], out=fy.reshape(-1)[k:-k])
+    np.subtract(cols, cols, out=fy[:, edge].T, order="C")
     fy *= s
     return fx, fy
 
 
-def gradient_sq(f: np.ndarray, g: Grid2D) -> np.ndarray:
-    """Node-wise |grad f|^2, summed over both axes and (for vector fields) components."""
-    _check_shape(f, g)
-    return _gradient_sq_of_pad(mirror_pad(f), g)
-
-
-def _gradient_sq_of_pad(fp, g, out=None, fx=None, fy=None):
-    fx, fy = _gradient_of_pad(fp, g, fx, fy)
+def gradient_sq(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
+                fx: np.ndarray | None = None, fy: np.ndarray | None = None) -> np.ndarray:
+    """Node-wise |grad f|^2, summed over both axes and (for vector fields)
+    components, into the scalar field ``out``; fx and fy as in gradient."""
+    fx, fy = gradient(f, g, fx=fx, fy=fy)
     fx *= fx
     fy *= fy
     if fx.ndim == 3:
@@ -153,20 +160,11 @@ def _gradient_sq_of_pad(fp, g, out=None, fx=None, fy=None):
     return np.add(fx, fy, out=out)
 
 
-def grad_magnitude(f: np.ndarray, g: Grid2D) -> np.ndarray:
-    """Node-wise Frobenius norm of the centered-difference gradient."""
-    return np.sqrt(gradient_sq(f, g))
-
-
-def grad_magnitude_of_pad(fp: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
-                          fx: np.ndarray | None = None,
-                          fy: np.ndarray | None = None) -> np.ndarray:
-    """grad_magnitude of the field whose mirror pad is fp, which it only reads.
-
-    The result goes to ``out``, and the two components to ``fx`` and
-    ``fy``, scratch of the field's shape; each is allocated when not given.
-    """
-    sq = _gradient_sq_of_pad(fp, g, out, fx, fy)
+def grad_magnitude(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
+                   fx: np.ndarray | None = None, fy: np.ndarray | None = None) -> np.ndarray:
+    """Node-wise Frobenius norm of the centered-difference gradient, with
+    the buffers of gradient_sq."""
+    sq = gradient_sq(f, g, out, fx, fy)
     return np.sqrt(sq, out=sq)
 
 
@@ -277,7 +275,7 @@ def write_field(path, f: np.ndarray):
     m = f.shape[0] - 1
     with open(path, "wb") as fh:
         fh.write(f"{_HEADER_PREFIX} M={m} comps=3\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(f, dtype="<f8")))
 
 
 def read_field(path) -> np.ndarray:

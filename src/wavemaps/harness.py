@@ -110,6 +110,8 @@ class RunConfig:
             raise ConfigError("tau must be positive and finite")
         if self.M < 2:
             raise ConfigError("M must be at least 2")
+        if self.out_dir == "":  # no file can be opened there
+            raise ConfigError("the output directory must not be empty")
         if not 0.0 < self.tau_min < self.t_end:  # else the run takes no step
             raise ConfigError("need 0 < tau_min < t_end")
         for name, times in (("snapshot", self.snapshot_times or ()), ("store", self.store_times)):
@@ -343,11 +345,14 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     k * tau_ref to within 2^-40; a coarser step time k * (2^j * tau_f)
     rounds the same real product as (k * 2^j) * tau_f, so it is stored too.
     Taus that do not halve or nest raise ConfigError before any run, as do
-    an empty list of taus and a t_end, tau_ref or tau not positive and finite.
+    an empty list of taus, a t_end, tau_ref or tau not positive and finite
+    and an empty ``out_dir``.
     With an ``out_dir``, the rows go to eoc.csv there once the study is done.
     """
     if not taus:
         raise ConfigError("the study needs at least one eoc tau")
+    if out_dir == "":
+        raise ConfigError("the output directory must not be empty")
     if not all(0.0 < t < math.inf for t in (t_end, tau_ref, *taus)):
         raise ConfigError("t_end, tau_ref and every eoc tau must be positive and finite")
     solver = solver if solver is not None else SolverConfig()

@@ -78,27 +78,22 @@ class EndpointTerms:
 def endpoint_terms(u, w, g: Grid2D) -> EndpointTerms:
     """Per-state terms of one endpoint (u, w).
 
-    One mirror pad serves every difference of a field: |grad u| is taken
-    from u's pad first, then lap u, which scales the pad's centre in place;
-    w's pad reuses the buffer.  Two field-sized scratch arrays hold the
-    gradient components, and the first one also the squares of |w| and
-    |lap u|.  Every term equals the allocating operator's result bit for
-    bit.
+    The stencils read u and w in place.  Two field-sized scratch arrays
+    hold the gradient components and serve as the Laplacian's scratch; the
+    first one also holds the squares of |w| and |lap u|.  Every term equals
+    the allocating operator's result bit for bit.
     """
     shape = u.shape
-    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
     fx, fy = np.empty(shape), np.empty(shape)
     s = np.empty(shape[:2])
-    grad_u = gr.grad_magnitude_of_pad(gr.mirror_pad(u, pad), g, fx=fx, fy=fy)
-    lap_u = gr.laplacian_of_pad(pad, g)
-    grad_w = gr.grad_magnitude_of_pad(gr.mirror_pad(w, pad), g, fx=fx, fy=fy)
+    lap_u = gr.laplacian(u, g, tmp=fx)
     return EndpointTerms(
         lap_u=lap_u,
         u_x_w=gr.cross(u, w, tmp=s),
         lap_u_x_u=gr.cross(lap_u, u, tmp=s),
         mag_w=gr.magnitude(w, tmp=fx),
-        grad_u=grad_u,
-        grad_w=grad_w,
+        grad_u=gr.grad_magnitude(u, g, fx=fx, fy=fy),
+        grad_w=gr.grad_magnitude(w, g, fx=fx, fy=fy),
         mag_lap_u=gr.magnitude(lap_u, tmp=fx),
     )
 
@@ -190,10 +185,10 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
     compares with the guess.  A good guess, such as the extrapolated
     last step, saves sweeps; the fixed point and the stopping rule stay.
     The sweeps allocate nothing: every field they write (the midpoints,
-    one cross/scale buffer, the Laplacian and its padded copy, a scalar
-    scratch and two rotating (u, w) iterate pairs) is allocated once per
-    call.  u_n, w_n and the guess are only read, and the returned fields
-    are fresh arrays that belong to the caller.
+    one cross/scale buffer, which is also the Laplacian's scratch, the
+    Laplacian, a scalar scratch and two rotating (u, w) iterate pairs) is
+    allocated once per call.  u_n, w_n and the guess are only read, and
+    the returned fields are fresh arrays that belong to the caller.
     Negative tau is allowed (the midpoint map is time-symmetric), zero is
     not.  Raises NonConvergence when the cap is hit, which signals that
     |tau| is above the convergence threshold of the iteration.
@@ -202,7 +197,6 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
         raise ValueError("tau must be nonzero")
     shape = u_n.shape
     mu, mw, c, lap = (np.empty(shape) for _ in range(4))
-    pad = np.empty((shape[0] + 2, shape[1] + 2) + shape[2:])
     s = np.empty(shape[:2])
     us = (np.empty(shape), np.empty(shape))
     ws = (np.empty(shape), np.empty(shape))
@@ -219,7 +213,7 @@ def step(u_n, w_n, tau, cfg: SolverConfig, g: Grid2D, guess=None):
             np.add(u_n, c, out=u_new)
             np.add(u_n, u_new, out=mu)  # mu = (u_n + u_new) / 2
             mu *= 0.5
-            gr.laplacian(mu, g, out=lap, pad=pad)  # w_new = w_n + tau * (lap mu x mu)
+            gr.laplacian(mu, g, out=lap, tmp=c)  # w_new = w_n + tau * (lap mu x mu)
             gr.cross(lap, mu, out=c, tmp=s)
             c *= tau
             np.add(w_n, c, out=w_new)

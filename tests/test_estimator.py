@@ -97,9 +97,9 @@ def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
 
 
 # Reference implementations: the allocating formulation, one operator call
-# per quantity and one expression per bound.  The estimator layers pad each
-# field once, write into per-call scratch and share repeated products; they
-# must reproduce these bit for bit.
+# per quantity and one expression per bound.  The estimator layers write
+# into per-call scratch and share repeated products; they must reproduce
+# these bit for bit.
 
 
 def ref_endpoint_terms(u, w, g):
@@ -264,8 +264,7 @@ def test_local_quantities_allocates_only_outputs_and_scratch():
     local_quantities(rec, g)
     field_bytes = u.nbytes
     outputs = 14 * (field_bytes // 3)
-    scratch = (2 * field_bytes  # the difference buffer and one gradient component
-               + (g.M + 3) ** 2 * 3 * 8)  # the mirror pad
+    scratch = 3 * field_bytes  # the difference buffer and two gradient components
     iterator = 3 * np.getbufsize() * 8
     tracemalloc.start()
     try:

@@ -272,7 +272,7 @@ def signed_zero_field(rng, shape):
     return f
 
 
-KERNEL_SIZES = (2, 3, 8, 33)
+KERNEL_SIZES = (2, 3, 4, 8, 33)
 
 
 @pytest.mark.parametrize("M", KERNEL_SIZES)
@@ -285,6 +285,7 @@ def test_stencils_match_np_pad_reference_bitwise(M, vector):
     for got, want in zip(gr.gradient(f, g), ref_gradient(f, g)):
         assert bitwise_equal(got, want)
     assert bitwise_equal(gradient_sq(f, g), ref_gradient_sq(f, g))
+    assert bitwise_equal(gr.grad_magnitude(f, g), np.sqrt(ref_gradient_sq(f, g)))
     want_mag = np.sqrt((f * f).sum(axis=-1)) if vector else np.abs(f)
     assert bitwise_equal(magnitude(f), want_mag)
 
@@ -294,15 +295,67 @@ def test_stencils_match_np_pad_reference_bitwise(M, vector):
 def test_laplacian_into_given_buffers_matches_allocating_call_bitwise(M, vector):
     g = Grid2D(M)
     rng = np.random.default_rng(200 + M)
-    comps = (3,) if vector else ()
-    f = signed_zero_field(rng, g.shape + comps)
+    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
     # stale contents, as in buffers reused from an earlier call
     out = np.full(f.shape, np.nan)
-    pad = np.full((M + 3, M + 3) + comps, np.inf)
+    tmp = np.full(f.shape, np.inf)
     f_before = f.copy()
-    assert laplacian(f, g, out=out, pad=pad) is out
+    assert laplacian(f, g, out=out, tmp=tmp) is out
     assert bitwise_equal(out, laplacian(f, g))
+    assert bitwise_equal(out, ref_laplacian(f, g))
     assert bitwise_equal(f, f_before)
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+@pytest.mark.parametrize("vector", (False, True))
+def test_gradients_into_given_buffers_match_reference_bitwise(M, vector):
+    g = Grid2D(M)
+    rng = np.random.default_rng(400 + M)
+    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
+    f_before = f.copy()
+    fx, fy = np.full(f.shape, np.nan), np.full(f.shape, np.inf)
+    got = gr.gradient(f, g, fx=fx, fy=fy)
+    assert got[0] is fx and got[1] is fy
+    for got_k, want_k in zip(got, ref_gradient(f, g)):
+        assert bitwise_equal(got_k, want_k)
+    for op, want in ((gradient_sq, ref_gradient_sq(f, g)),
+                     (gr.grad_magnitude, np.sqrt(ref_gradient_sq(f, g)))):
+        out = np.full(g.shape, np.nan)
+        fx, fy = np.full(f.shape, -np.inf), np.full(f.shape, np.nan)
+        assert op(f, g, out=out, fx=fx, fy=fy) is out
+        assert bitwise_equal(out, want)
+    assert bitwise_equal(f, f_before)
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+def test_stencils_of_noncontiguous_inputs_match_reference_bitwise(M):
+    g = Grid2D(M)
+    u = signed_zero_field(np.random.default_rng(500 + M), g.shape + (3,))
+    for f in (u[..., 0], u[..., 2], np.asfortranarray(u), np.asfortranarray(u[..., 1])):
+        out, tmp = np.full(f.shape, np.nan), np.full(f.shape, np.inf)
+        assert bitwise_equal(laplacian(f, g, out=out, tmp=tmp), ref_laplacian(f, g))
+        for got, want in zip(gr.gradient(f, g), ref_gradient(f, g)):
+            assert bitwise_equal(got, want)
+        assert bitwise_equal(gradient_sq(f, g), ref_gradient_sq(f, g))
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES)
+def test_stencils_refuse_buffers_without_a_flat_view(M):
+    # a flat view of a strided or Fortran-ordered buffer would be a copy,
+    # and writes into it would be lost
+    g = Grid2D(M)
+    f = signed_zero_field(np.random.default_rng(600 + M), g.shape + (3,))
+    strided = np.empty(g.shape + (6,))[..., ::2]
+    fortran = np.asfortranarray(np.empty(f.shape))
+    for bad in (strided, fortran, np.empty(g.shape)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            laplacian(f, g, out=bad)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            laplacian(f, g, tmp=bad)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gr.gradient(f, g, fx=bad)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gr.grad_magnitude(f, g, fy=bad)
 
 
 @pytest.mark.parametrize("M", KERNEL_SIZES)

@@ -184,6 +184,35 @@ def test_fp_iterations_record_every_attempt(monkeypatch):
     assert all(type(n) is int and n >= 1 for n in sweeps)
 
 
+def test_every_stencil_of_an_attempt_goes_through_the_module_names(monkeypatch):
+    # the benchmark's trace patches gr.laplacian and gr.gradient; an accepted
+    # fixed attempt runs one Laplacian per sweep, lap u of the new state and
+    # lap P, and the gradients of u and w of the new state and of du, dw, P, Q
+    counts = {"laplacian": 0, "gradient": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(gr, name, counting(name, getattr(gr, name)))
+    at_step = []
+    real_step = harness.step
+
+    def watched_step(*args, **kwargs):
+        at_step.append(dict(counts))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "step", watched_step)
+    traj = run(RunConfig(M=8, mode="fixed", tau=2.0**-6, t_end=2.0**-5))
+    assert [row[2] for row in traj.controller_rows] == ["accept", "accept"]
+    sweeps = traj.controller_rows[0][5]
+    assert at_step[1]["laplacian"] - at_step[0]["laplacian"] == sweeps + 2
+    assert at_step[1]["gradient"] - at_step[0]["gradient"] == 6
+
+
 def test_gauss_seidel_saves_iterations_over_a_run(monkeypatch):
     import wavemaps.harness as hz
     cfg = RunConfig(M=32, mode="fixed", tau=2.0**-9, t_end=0.05)
@@ -328,6 +357,11 @@ def test_eoc_study_rejects_bad_reference(monkeypatch):
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-4, t_end=0.1)
     with pytest.raises(ConfigError, match="at least one eoc tau"):
         run_eoc_study(M=8, taus=[], tau_ref=2.0**-8, t_end=0.1)
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
+    with pytest.raises(ConfigError, match="output directory"):  # before any run
+        run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=0.1, out_dir="")
+    assert runs == []
 
     # the step times of t_end = inf never end: the study must stop before them
     def endless(tau, t_end):
@@ -453,6 +487,8 @@ def test_run_config_validation():
         RunConfig(mode="fixed", tau_min=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(mode="adaptive", tau_min=1.0, controller=AdaptiveController(tau_max=0.5))
+    with pytest.raises(ConfigError, match="output directory"):  # no file can be written
+        RunConfig(out_dir="")
 
 
 @pytest.mark.parametrize("key", ["tau", "t_end"])
@@ -699,6 +735,30 @@ def test_cli_rejects_invalid_configuration_before_any_run(tmp_path, monkeypatch,
     assert rc == 3 and runs == []
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("args, cfg_line", [
+    (["--mode", "fixed", "--out", ""], None),
+    (["--mode", "adaptive", "--out", ""], None),
+    (["--mode", "eoc", "--out", ""], None),
+    (["--mode", "fixed"], "out ="),
+    (["--mode", "eoc"], "out = "),
+], ids=["fixed-flag", "adaptive-flag", "eoc-flag", "fixed-file", "eoc-file"])
+def test_empty_output_directory_is_a_configuration_error(tmp_path, monkeypatch, capsys,
+                                                         args, cfg_line):
+    # no file can be written to "": found before any run, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "run", lambda cfg: runs.append(cfg))
+    if cfg_line is not None:
+        (tmp_path / "run.cfg").write_text(f"{cfg_line}\n")
+        args = [*args, "--config", "run.cfg"]
+    rc = cli.main([*args, "--grid", "8", "--tend", "0.03"])
+    assert rc == 3 and runs == []
+    captured = capsys.readouterr()
+    assert "output directory must not be empty" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if cfg_line else [])
 
 
 @pytest.mark.parametrize("mode", ["fixed", "eoc"])

@@ -246,9 +246,9 @@ def test_step_allocates_nothing_beyond_its_buffers():
     u, w = initial_data(g)
     u, w, _ = step(u, w, 2.0**-11, cfg, g)
     field_bytes = u.nbytes
-    buffers = (8 * field_bytes  # mu, mw, cross/scale, Laplacian, 2 (u, w) pairs
-               + (g.M + 3) ** 2 * 3 * 8  # padded copy
-               + field_bytes // 3)  # scalar scratch
+    # mu, mw, the cross/scale buffer (also the Laplacian's tmp), the
+    # Laplacian, two (u, w) iterate pairs and the scalar scratch
+    buffers = 8 * field_bytes + field_bytes // 3
     iterator = 3 * np.getbufsize() * 8
     tracemalloc.start()
     try:
