@@ -244,20 +244,28 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
 
 
 def alpha_hat(rbf: ResidualBoundFields, g: Grid2D) -> float:
-    """Interval-uniform upper bound for the residual rate alpha."""
-    bd_ru = rbf.bd_ru
-    combined = rbf.bd_rg + bd_ru * rbf.W + rbf.bd_rw
-    return (
-        gr.lp_norm(combined, 2.0, g)
-        + gr.lp_norm(bd_ru, 2.0, g)
-        + gr.lp_norm(rbf.bd_grad_ru, 2.0, g)
-    )
+    """Interval-uniform upper bound for the residual rate alpha.
+
+    bd_ru, the combined integrand and bd_grad_ru are summed in place in
+    the order of the formula, the last two in one buffer; each equals the
+    allocating expression bit for bit.
+    """
+    bd_ru = np.add(rbf.bd_ru1, rbf.bd_ru2)
+    bd_ru += rbf.bd_ru3
+    s = np.multiply(bd_ru, rbf.W)
+    s += rbf.bd_rg  # bd_rg + bd_ru * W
+    s += rbf.bd_rw
+    rate = gr.lp_norm(s, 2.0, g) + gr.lp_norm(bd_ru, 2.0, g)
+    np.add(rbf.bd_grad_ru1, rbf.bd_grad_ru2, out=s)
+    s += rbf.bd_grad_ru3
+    return rate + gr.lp_norm(s, 2.0, g)
 
 
 def delta_hat(rbf: ResidualBoundFields, g: Grid2D) -> float:
     """Interval-uniform upper bound for the Gronwall rate delta."""
     W, G = rbf.W, rbf.G
-    A_hat = G * G + W * W
+    A_hat = G * G
+    A_hat += W * W
     norm_W = gr.lp_norm(W, 2.0 * P_EXP, g)
     norm_G = gr.lp_norm(G, 2.0 * P_EXP, g)
     return (

@@ -19,6 +19,12 @@ GRAD_PART_NAMES = ("rw", "grad_ru1", "grad_ru2", "grad_ru3")
 POINT_PART_NAMES = ("ru1", "ru2", "ru3", "rg")
 
 
+def pow_lp_norm(f, p, g):
+    """lp_norm as one pow per node, the formula that the squared norms replace."""
+    s = float(np.add.reduce(gr.trapezoid_weights(g) * gr.magnitude(f) ** p, axis=None))
+    return (s * g.h * g.h) ** (1.0 / p)
+
+
 def smooth_scalar(g, rng, amp=1.0, kmax=2):
     """Random low-frequency scalar field compatible with the Neumann boundary."""
     x, y = g.mesh()

@@ -15,11 +15,12 @@ from wavemaps import (EstimatorState, Grid2D, LocalBounds, RunConfig, SmallnessV
                       run, step)
 from wavemaps import grid as gr
 from wavemaps import harness
-from wavemaps.estimator import ResidualBoundFields
-from wavemaps.scheme import EndpointTerms, endpoint_terms
+from wavemaps.estimator import C_Q, P_EXP, ResidualBoundFields
+from wavemaps.scheme import EndpointTerms, endpoint_terms, energy
 
 from conftest import (GRAD_PART_NAMES, KAPPA, POINT_PART_NAMES, SAMPLE_FRACS,
-                      dominance_violations, random_state, record_suite, scheme_record)
+                      dominance_violations, pow_lp_norm, random_state, record_suite,
+                      scheme_record)
 
 RNG = np.random.default_rng(1234)
 G = Grid2D(16)
@@ -249,6 +250,78 @@ def test_estimator_layers_match_reference_bitwise(M, data, tau_per_h):
             residual_bounds(lb, tau)
     else:
         assert_fields_bitwise_equal(residual_bounds(lb, tau), want)
+
+
+def ref_alpha_hat(rbf, g):
+    bd_ru = rbf.bd_ru
+    combined = rbf.bd_rg + bd_ru * rbf.W + rbf.bd_rw
+    return (pow_lp_norm(combined, 2.0, g) + pow_lp_norm(bd_ru, 2.0, g)
+            + pow_lp_norm(rbf.bd_grad_ru, 2.0, g))
+
+
+def ref_delta_hat(rbf, g):
+    W, G = rbf.W, rbf.G
+    norm_W = pow_lp_norm(W, 2.0 * P_EXP, g)
+    norm_G = pow_lp_norm(G, 2.0 * P_EXP, g)
+    return (1.0 + C_Q * pow_lp_norm(G * G + W * W, P_EXP, g) + 2.0 * C_Q * norm_W**2
+            + 2.0 * C_Q * norm_G * norm_W + 4.0 * float(np.abs(W).max()))
+
+
+@pytest.mark.parametrize("M", (8, 32, 128))
+@pytest.mark.parametrize("data", (initial_data, constant_data, rotation_data))
+@pytest.mark.parametrize("tau_per_h", (1.0 / 16.0, 0.25, 0.3))
+def test_rates_match_pow_references(M, data, tau_per_h):
+    # the states of test_estimator_layers_match_reference_bitwise; at
+    # M = 128 hundreds of nodes of W and G lie below 2^-127, where their
+    # 8th powers underflow
+    g = Grid2D(M)
+    tau = tau_per_h * g.h
+    u, w = data(g)
+    for _ in range(2):
+        u, w, _ = step(u, w, tau, CFG, g)
+    u1, w1, _ = step(u, w, tau, CFG, g)
+    rec = StepRecord(grid=g, t_n=0.0, t_np1=tau, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
+    rbf = residual_bounds(local_quantities(rec, g), tau)
+    assert alpha_hat(rbf, g) == ref_alpha_hat(rbf, g)
+    assert delta_hat(rbf, g) == pytest.approx(ref_delta_hat(rbf, g), rel=1e-14, abs=0.0)
+
+
+def traced_peak(fn):
+    """Bytes that one call of fn holds at its peak beyond what it started with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_rates_energy_and_constraint_checks_allocate_few_fields():
+    # Bounds in scalar fields at M = 128: each call's measured peak rounded
+    # up.  The rates hold bd_ru, one sum buffer and one lp_norm temporary;
+    # the energy a three-field difference buffer, its component sum and a
+    # ufunc iterator buffer of about one field for the strided y edges; a
+    # constraint check one scalar field and its scratch.  A temporary per
+    # operation, as in the allocating formulas, adds a field or more.
+    g = Grid2D(128)
+    u, w = initial_data(g)
+    u, w, _ = step(u, w, g.h / 16, CFG, g)
+    u1, w1, _ = step(u, w, g.h / 16, CFG, g)
+    rec = StepRecord(grid=g, t_n=0.0, t_np1=g.h / 16, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
+    rbf = residual_bounds(local_quantities(rec, g), g.h / 16)
+    calls = {
+        "alpha_hat + delta_hat": (lambda: (alpha_hat(rbf, g), delta_hat(rbf, g)), 4),
+        "energy": (lambda: energy(u1, w1, g), 5),
+        "unit_deviation": (lambda: gr.unit_deviation(u1), 3),
+        "orthogonality_deviation": (lambda: gr.orthogonality_deviation(u1, w1), 3),
+    }
+    field_bytes = u1.nbytes // 3
+    for fn, _ in calls.values():
+        fn()
+    peaks = {name: traced_peak(fn) / field_bytes for name, (fn, _) in calls.items()}
+    assert all(peaks[name] <= fields for name, (_, fields) in calls.items()), peaks
 
 
 def test_local_quantities_allocates_only_outputs_and_scratch():

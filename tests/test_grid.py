@@ -14,7 +14,7 @@ from wavemaps import Grid2D, RunConfig, cross, dirichlet_form, dot, gradient_sq,
     write_field, write_field_csv
 from wavemaps import grid as gr
 
-from conftest import smooth_scalar, smooth_vec
+from conftest import pow_lp_norm, smooth_scalar, smooth_vec
 
 
 def vec_of(g, f_scalar, comp=0):
@@ -136,6 +136,15 @@ def test_lp_norm_rejects_bad_exponent():
         lp_norm(np.ones(g.shape), 0.5, g)
 
 
+@pytest.mark.parametrize("p", (math.nan, 0.0, -math.inf))
+def test_lp_norm_rejects_exponents_that_are_not_at_least_one(p):
+    # a NaN exponent fails every comparison, so "p < 1" let it through
+    g = Grid2D(4)
+    for f in (np.ones(g.shape), np.arange(25.0).reshape(g.shape)):
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_norm(f, p, g)
+
+
 def test_gradient_sq_constants_and_linear():
     g = Grid2D(16)
     assert np.abs(gradient_sq(gr.constant_field(g, (1, 2, 3)), g)).max() == 0.0
@@ -178,6 +187,15 @@ def test_cross_dot_triple_product():
 def test_integrate_unit():
     g = Grid2D(9)
     assert abs(integrate(np.ones(g.shape), g) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("M, shape", ((2, (3, 3, 3)), (4, (5, 5, 3)), (4, (5, 6)), (4, (6, 5))))
+def test_integrate_rejects_fields_of_other_shapes(M, shape):
+    # at M = 2 the (3, 3) weights broadcast over the last two axes of a
+    # (3, 3, 3) field and summed it to 3.0
+    g = Grid2D(M)
+    with pytest.raises(ValueError, match="scalar field"):
+        integrate(np.ones(shape), g)
 
 
 def test_dirichlet_form_is_laplacian_pairing():
@@ -428,8 +446,65 @@ def test_reductions_close_to_exact_sum_and_repeatable(M, vector):
     edges = (sqx * w1[None, :]).ravel().tolist() + (sqy * w1[:, None]).ravel().tolist()
     check(lambda: dirichlet_form(f, g), edges, 1.0)
     m = magnitude(f)
-    for p in (1.0, 2.0, 4.0):
+    for p in (1.0, 2.0, 4.0, 8.0):
         check(lambda p=p: lp_norm(f, p, g) ** p, (wts * m**p).ravel().tolist(), hh)
+
+
+@pytest.mark.parametrize("M", (4, 33, 128))
+@pytest.mark.parametrize("vector", (False, True))
+def test_squared_norms_close_to_exact_sum_across_underflow(M, vector):
+    # node magnitudes log-uniform in [1e-60, 1e3], some zero: every 8th
+    # power below about 1e-39 leaves the normal range
+    g = Grid2D(M)
+    rng = np.random.default_rng(700 + M)
+    mag = 10.0 ** rng.uniform(-60.0, 3.0, size=g.shape)
+    mag[rng.random(g.shape) < 0.05] = 0.0
+    direction = rng.normal(size=g.shape + ((3,) if vector else ()))
+    if vector:
+        direction /= np.sqrt((direction * direction).sum(axis=-1))[..., None]
+        f = mag[..., None] * direction
+        mags = [math.hypot(*v) for v in f.reshape(-1, 3)]
+    else:
+        f = np.sign(direction) * mag
+        mags = mag.ravel().tolist()
+    assert sum(m**8 < 2.2250738585072014e-308 for m in mags) > 0.2 * len(mags)
+    wts = gr.trapezoid_weights(g).ravel().tolist()
+    hh = g.h * g.h
+    for p in (4.0, 8.0):
+        terms = [w * m**p for w, m in zip(wts, mags)]
+        got = lp_norm(f, p, g) ** p
+        exact = math.fsum(terms) * hh
+        assert abs(got - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES + (128,))
+@pytest.mark.parametrize("vector", (False, True))
+def test_l2_norm_keeps_the_bits_of_the_pow_formula(M, vector):
+    # |f| * |f| (f * f on a scalar field) is what |f| ** 2.0 computes
+    g = Grid2D(M)
+    rng = np.random.default_rng(800 + M)
+    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
+    f *= np.exp(3.0 * rng.normal(size=f.shape))
+    assert lp_norm(f, 2.0, g) == pow_lp_norm(f, 2.0, g)
+
+
+@pytest.mark.parametrize("M", KERNEL_SIZES + (128,))
+def test_energy_parts_and_constraint_checks_match_allocating_formulas_bitwise(M):
+    g = Grid2D(M)
+    rng = np.random.default_rng(900 + M)
+    u, w = signed_zero_field(rng, g.shape + (3,)), signed_zero_field(rng, g.shape + (3,))
+    w1 = np.ones(g.M + 1)
+    w1[0] = w1[-1] = 0.5
+    for f in (u, u[..., 1]):
+        dx, dy = np.diff(f, axis=0), np.diff(f, axis=1)
+        sqx, sqy = dx * dx, dy * dy
+        if f.ndim == 3:
+            sqx, sqy = gr._sum3(sqx), gr._sum3(sqy)
+        want = gr._sum(sqx * w1[None, :]) + gr._sum(sqy * w1[:, None])
+        assert dirichlet_form(f, g) == want
+    assert gr.unit_deviation(u) == float(np.abs(magnitude(u) - 1.0).max())
+    assert gr.orthogonality_deviation(u, w) == float(np.abs(gr._sum3(u * w)).max())
+    assert dot(u, w).tobytes() == (gr._sum3(u * w) + 0.0).tobytes()
 
 
 def g17_texts(values):
