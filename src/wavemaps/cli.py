@@ -43,9 +43,9 @@ _KEYS = {
     "mode": _Key("mode", str, _MODES),
     "tend": _Key("t_end", _parse_number, _MODES),
     "out": _Key("out_dir", str, _MODES),
-    "initial": _Key("initial", str, _MODES),
     "fp_tol": _Key("fp_tol", _parse_number, _MODES),
     "unit_tol": _Key("unit_tol", _parse_number, _MODES),
+    "initial": _Key("initial", str, ("fixed", "adaptive")),
     "tau": _Key("tau", _parse_number, ("fixed", "adaptive")),
     "tau_min": _Key("tau_min", _parse_number, ("fixed", "adaptive")),
     "snapshots": _Key("snapshot_times", _parse_times, ("fixed", "adaptive")),
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     try:
         if eoc_mode:
             rows = run_eoc_study(cfg.M, taus, tau_ref, cfg.t_end, solver=cfg.solver,
-                                 initial=cfg.initial, out_dir=cfg.out_dir)
+                                 out_dir=cfg.out_dir)
             print(f"{'tau':>12} {'err_w':>12} {'eoc_w':>7} {'err_gu':>12} {'eoc_gu':>7}")
             for tau, err_w, eoc_w, err_gu, eoc_gu in rows:
                 print(f"{tau:12.6g} {err_w:12.4e} "

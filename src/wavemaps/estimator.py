@@ -23,8 +23,10 @@ residual_bounds forms once; the two scalar rates read only that record:
     delta_hat = 1 + C_Q ||G^2 + W^2||_p + 2 C_Q ||W||_2p^2
                 + 2 C_Q ||G||_2p ||W||_2p + 4 ||W||_inf
 
-The exponent p = P_EXP and the embedding constant C_Q are fixed by the
-stability estimate, not settings.  The total bound obeys the recurrence
+with bd_ru = bd_ru1 + bd_ru2 + bd_ru3 and bd_grad_ru the sum of the
+three gradient parts.  The exponent p = P_EXP and the embedding constant
+C_Q are fixed by the stability estimate, not settings.  The total bound
+obeys the recurrence
 
     B_j = (B_{j-1} + int_alpha_j) * exp(int_delta_j / 2),
 
@@ -33,7 +35,7 @@ because the bounds are constant on each interval.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,51 +87,41 @@ class ResidualBoundFields:
     W: np.ndarray
     G: np.ndarray
 
-    @property
-    def bd_ru(self) -> np.ndarray:
-        return self.bd_ru1 + self.bd_ru2 + self.bd_ru3
 
-    @property
-    def bd_grad_ru(self) -> np.ndarray:
-        return self.bd_grad_ru1 + self.bd_grad_ru2 + self.bd_grad_ru3
+def _magnitudes(d: np.ndarray, g: Grid2D):
+    """(|d|, |grad d|) of one endpoint difference d."""
+    return gr.magnitude(d), gr.grad_magnitude(d, g)
 
 
 def local_quantities(rec: StepRecord, g: Grid2D) -> LocalBounds:
     """Assemble every node-wise quantity entering the residual bounds.
 
-    One difference buffer holds du, dw, P, Q and dlap in turn, and its
-    magnitudes are written straight into the LocalBounds arrays; two more
-    field-sized buffers hold the gradient components, and lap P with its
-    scratch.  Every field equals the allocating operators' result bit for
-    bit.
+    Each endpoint difference is alive only while its magnitudes are formed.
     """
     e0, e1 = rec.ends
-    shape = rec.u_n.shape
-    lb = LocalBounds(**{f.name: np.empty(shape[:2]) for f in fields(LocalBounds)})
-    d, fx, fy = np.empty(shape), np.empty(shape), np.empty(shape)
-
-    def magnitudes(f, a, a_x=None):
-        """|f| into a and, when asked, |grad f| into a_x."""
-        gr.magnitude(f, out=a, tmp=fx)
-        if a_x is not None:
-            gr.grad_magnitude(f, g, out=a_x, fx=fx, fy=fy)
-
-    np.subtract(rec.u_np1, rec.u_n, out=d)
-    magnitudes(d, lb.A_u, lb.A_u_x)
-    np.subtract(rec.w_np1, rec.w_n, out=d)
-    magnitudes(d, lb.A_w, lb.A_w_x)
-    np.subtract(e1.u_x_w, e0.u_x_w, out=d)  # P
-    magnitudes(d, lb.B_u, lb.B_u_x)
-    magnitudes(gr.laplacian(d, g, out=fy, tmp=fx), lb.B_u_xx)
-    np.subtract(e1.lap_u_x_u, e0.lap_u_x_u, out=d)  # Q
-    magnitudes(d, lb.B_w, lb.B_w_x)
-    np.subtract(e1.lap_u, e0.lap_u, out=d)
-    magnitudes(d, lb.A_u_xx)
-    np.maximum(e0.mag_w, e1.mag_w, out=lb.C_w)
-    np.maximum(e0.grad_u, e1.grad_u, out=lb.C_u_x)
-    np.maximum(e0.grad_w, e1.grad_w, out=lb.C_w_x)
-    np.maximum(e0.mag_lap_u, e1.mag_lap_u, out=lb.C_u_xx)
-    return lb
+    A_u, A_u_x = _magnitudes(rec.u_np1 - rec.u_n, g)
+    A_w, A_w_x = _magnitudes(rec.w_np1 - rec.w_n, g)
+    P = e1.u_x_w - e0.u_x_w
+    B_u, B_u_x = _magnitudes(P, g)
+    B_u_xx = gr.magnitude(gr.laplacian(P, g))
+    del P
+    B_w, B_w_x = _magnitudes(e1.lap_u_x_u - e0.lap_u_x_u, g)
+    return LocalBounds(
+        A_u=A_u,
+        A_u_x=A_u_x,
+        A_u_xx=gr.magnitude(e1.lap_u - e0.lap_u),
+        A_w=A_w,
+        A_w_x=A_w_x,
+        B_u=B_u,
+        B_u_x=B_u_x,
+        B_u_xx=B_u_xx,
+        B_w=B_w,
+        B_w_x=B_w_x,
+        C_w=np.maximum(e0.mag_w, e1.mag_w),
+        C_u_x=np.maximum(e0.grad_u, e1.grad_u),
+        C_w_x=np.maximum(e0.grad_w, e1.grad_w),
+        C_u_xx=np.maximum(e0.mag_lap_u, e1.mag_lap_u),
+    )
 
 
 def check_smallness(lb: LocalBounds, tau: float) -> bool:

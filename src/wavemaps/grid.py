@@ -128,12 +128,11 @@ def laplacian(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
     return out
 
 
-def gradient(f: np.ndarray, g: Grid2D, fx: np.ndarray | None = None,
-             fy: np.ndarray | None = None):
+def gradient(f: np.ndarray, g: Grid2D):
     """Centered differences (f+ - f-) / (2h) along x and y, mirror ghosts at
-    the boundary, into ``fx`` and ``fy`` (not overlapping f).  fy is taken
-    over f's flat node sequence, then its edge columns are rewritten."""
-    f, fx, fy = _stencil_args(f, g, fx, fy)
+    the boundary, as fresh fields fx and fy.  fy is taken over f's flat
+    node sequence, then its edge columns are rewritten."""
+    f, fx, fy = _stencil_args(f, g, None, None)
     edge, mirror = _edges(g)
     k = f[0, 0].size
     s = 1.0 / (2.0 * g.h)
@@ -147,38 +146,28 @@ def gradient(f: np.ndarray, g: Grid2D, fx: np.ndarray | None = None,
     return fx, fy
 
 
-def gradient_sq(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
-                fx: np.ndarray | None = None, fy: np.ndarray | None = None) -> np.ndarray:
+def gradient_sq(f: np.ndarray, g: Grid2D) -> np.ndarray:
     """Node-wise |grad f|^2, summed over both axes and (for vector fields)
-    components, into the scalar field ``out``; fx and fy as in gradient."""
-    fx, fy = gradient(f, g, fx=fx, fy=fy)
+    components, as a scalar field."""
+    fx, fy = gradient(f, g)
     fx *= fx
     fy *= fy
-    if fx.ndim == 3:
-        fx += fy
-        return _sum3(fx, out)
-    return np.add(fx, fy, out=out)
+    fx += fy
+    return _sum3(fx) if fx.ndim == 3 else fx
 
 
-def grad_magnitude(f: np.ndarray, g: Grid2D, out: np.ndarray | None = None,
-                   fx: np.ndarray | None = None, fy: np.ndarray | None = None) -> np.ndarray:
-    """Node-wise Frobenius norm of the centered-difference gradient, with
-    the buffers of gradient_sq."""
-    sq = gradient_sq(f, g, out, fx, fy)
+def grad_magnitude(f: np.ndarray, g: Grid2D) -> np.ndarray:
+    """Node-wise Frobenius norm of the centered-difference gradient."""
+    sq = gradient_sq(f, g)
     return np.sqrt(sq, out=sq)
 
 
-def magnitude(f: np.ndarray, out: np.ndarray | None = None,
-              tmp: np.ndarray | None = None) -> np.ndarray:
-    """Node-wise Euclidean magnitude (abs for scalar fields).
-
-    The result goes to ``out``, and a vector field's squares to ``tmp``,
-    scratch of the field's shape; each is allocated when not given.
-    """
+def magnitude(f: np.ndarray) -> np.ndarray:
+    """Node-wise Euclidean magnitude (abs for scalar fields)."""
     if f.ndim == 3:
-        m = _sum3(np.multiply(f, f, out=tmp), out)
+        m = _sum3(f * f)
         return np.sqrt(m, out=m)
-    return np.abs(f, out=out)
+    return np.abs(f)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

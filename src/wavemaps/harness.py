@@ -335,8 +335,10 @@ def eoc(e_coarse: float, e_fine: float) -> float:
 
 
 def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
-                  solver: SolverConfig | None = None, initial: str = "problem", out_dir=None):
-    """Self-convergence study against a fine-step reference on the same grid.
+                  solver: SolverConfig | None = None, out_dir=None):
+    """Self-convergence study of the problem data against a fine-step
+    reference on the same grid.  The constant and rotation data are
+    resolved exactly at every tau, so their zero errors give no order.
 
     Returns rows (tau, err_w, eoc_w, err_gu, eoc_gu); the first row carries
     None for both EOC entries.  An EOC is log2 of an error ratio, so each
@@ -368,11 +370,11 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
             raise ConfigError(f"eoc_taus do not nest: step time {s!r} of the finest tau "
                               f"{taus[-1]!r} is not a step time of tau_ref {tau_ref!r}")
     ref = run(RunConfig(M=M, mode="fixed", tau=tau_ref, t_end=t_end, solver=solver,
-                        initial=initial, store_times=store))
+                        store_times=store))
     rows = []
     for tau in taus:
         traj = run(RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
-                             initial=initial, store_times=tuple(_step_times(tau, t_end))))
+                             store_times=tuple(_step_times(tau, t_end))))
         err_w, err_gu = energy_norm_error(traj, ref)
         eoc_w, eoc_gu = ((eoc(rows[-1][1], err_w), eoc(rows[-1][3], err_gu)) if rows
                          else (None, None))

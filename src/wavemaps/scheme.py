@@ -76,25 +76,16 @@ class EndpointTerms:
 
 
 def endpoint_terms(u, w, g: Grid2D) -> EndpointTerms:
-    """Per-state terms of one endpoint (u, w).
-
-    The stencils read u and w in place.  Two field-sized scratch arrays
-    hold the gradient components and serve as the Laplacian's scratch; the
-    first one also holds the squares of |w| and |lap u|.  Every term equals
-    the allocating operator's result bit for bit.
-    """
-    shape = u.shape
-    fx, fy = np.empty(shape), np.empty(shape)
-    s = np.empty(shape[:2])
-    lap_u = gr.laplacian(u, g, tmp=fx)
+    """Per-state terms of one endpoint (u, w), each a fresh field."""
+    lap_u = gr.laplacian(u, g)
     return EndpointTerms(
         lap_u=lap_u,
-        u_x_w=gr.cross(u, w, tmp=s),
-        lap_u_x_u=gr.cross(lap_u, u, tmp=s),
-        mag_w=gr.magnitude(w, tmp=fx),
-        grad_u=gr.grad_magnitude(u, g, fx=fx, fy=fy),
-        grad_w=gr.grad_magnitude(w, g, fx=fx, fy=fy),
-        mag_lap_u=gr.magnitude(lap_u, tmp=fx),
+        u_x_w=gr.cross(u, w),
+        lap_u_x_u=gr.cross(lap_u, u),
+        mag_w=gr.magnitude(w),
+        grad_u=gr.grad_magnitude(u, g),
+        grad_w=gr.grad_magnitude(w, g),
+        mag_lap_u=gr.magnitude(lap_u),
     )
 
 

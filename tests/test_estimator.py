@@ -98,9 +98,9 @@ def test_run_carries_endpoint_terms_bitwise_equal_to_fresh_ones(monkeypatch):
 
 
 # Reference implementations: the allocating formulation, one operator call
-# per quantity and one expression per bound.  The estimator layers write
-# into per-call scratch and share repeated products; they must reproduce
-# these bit for bit.
+# per quantity and one expression per bound.  residual_bounds shares
+# repeated products and sums in place; every layer must reproduce these
+# bit for bit.
 
 
 def ref_endpoint_terms(u, w, g):
@@ -253,10 +253,11 @@ def test_estimator_layers_match_reference_bitwise(M, data, tau_per_h):
 
 
 def ref_alpha_hat(rbf, g):
-    bd_ru = rbf.bd_ru
+    bd_ru = rbf.bd_ru1 + rbf.bd_ru2 + rbf.bd_ru3
+    bd_grad_ru = rbf.bd_grad_ru1 + rbf.bd_grad_ru2 + rbf.bd_grad_ru3
     combined = rbf.bd_rg + bd_ru * rbf.W + rbf.bd_rw
     return (pow_lp_norm(combined, 2.0, g) + pow_lp_norm(bd_ru, 2.0, g)
-            + pow_lp_norm(rbf.bd_grad_ru, 2.0, g))
+            + pow_lp_norm(bd_grad_ru, 2.0, g))
 
 
 def ref_delta_hat(rbf, g):
@@ -324,32 +325,6 @@ def test_rates_energy_and_constraint_checks_allocate_few_fields():
     assert all(peaks[name] <= fields for name, (_, fields) in calls.items()), peaks
 
 
-def test_local_quantities_allocates_only_outputs_and_scratch():
-    # Outputs and scratch are allocated up front; a field-sized temporary
-    # per quantity would raise the traced peak by 400 KB at M = 128.
-    # numpy's ufunc iterator may hold up to one buffer of getbufsize()
-    # elements per operand of a strided operation.
-    g = Grid2D(128)
-    u, w = initial_data(g)
-    u, w, _ = step(u, w, g.h / 16, CFG, g)
-    u1, w1, _ = step(u, w, g.h / 16, CFG, g)
-    rec = StepRecord(grid=g, t_n=0.0, t_np1=g.h / 16, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
-    local_quantities(rec, g)
-    field_bytes = u.nbytes
-    outputs = 14 * (field_bytes // 3)
-    scratch = 3 * field_bytes  # the difference buffer and two gradient components
-    iterator = 3 * np.getbufsize() * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        local_quantities(rec, g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= outputs + scratch + iterator + 16 * 1024
-
-
 def test_local_quantities_elementary_bounds():
     rec = scheme_record(G, RNG, 0.01, CFG)
     lb = local_quantities(rec, G)
@@ -386,7 +361,6 @@ def test_residual_bounds_closed_form_substitution():
     assert np.allclose(rbf.bd_ru3, (a * b / 4) * (4.0 / 3.0) * a**2 + 8 * a * b,
                        rtol=1e-14)
     assert np.allclose(rbf.bd_rg, (a * b) ** 2, rtol=1e-14)
-    assert np.allclose(rbf.bd_ru, rbf.bd_ru1 + rbf.bd_ru2 + rbf.bd_ru3, rtol=0)
 
 
 def test_residual_bounds_requires_smallness():
@@ -482,7 +456,8 @@ def trajectory_audit():
         for (t0, u0, w0), (t1, u1, w1) in zip(traj.states, traj.states[1:]):
             rec = StepRecord(grid=g, t_n=t0, t_np1=t1, u_n=u0, u_np1=u1, w_n=w0, w_np1=w1)
             rbf = residual_bounds(local_quantities(rec, g), rec.tau)
-            bound = gr.lp_norm(rbf.bd_grad_ru, 2.0, g)
+            bd_grad_ru = rbf.bd_grad_ru1 + rbf.bd_grad_ru2 + rbf.bd_grad_ru3
+            bound = gr.lp_norm(bd_grad_ru, 2.0, g)
             for frac in SAMPLE_FRACS:
                 r_u = eval_residuals(rec, t0 + frac * rec.tau).r_u
                 ratio = max(ratio, gr.lp_norm(gr.grad_magnitude(r_u, g), 2.0, g) / bound)

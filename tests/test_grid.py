@@ -325,27 +325,6 @@ def test_laplacian_into_given_buffers_matches_allocating_call_bitwise(M, vector)
 
 
 @pytest.mark.parametrize("M", KERNEL_SIZES)
-@pytest.mark.parametrize("vector", (False, True))
-def test_gradients_into_given_buffers_match_reference_bitwise(M, vector):
-    g = Grid2D(M)
-    rng = np.random.default_rng(400 + M)
-    f = signed_zero_field(rng, g.shape + ((3,) if vector else ()))
-    f_before = f.copy()
-    fx, fy = np.full(f.shape, np.nan), np.full(f.shape, np.inf)
-    got = gr.gradient(f, g, fx=fx, fy=fy)
-    assert got[0] is fx and got[1] is fy
-    for got_k, want_k in zip(got, ref_gradient(f, g)):
-        assert bitwise_equal(got_k, want_k)
-    for op, want in ((gradient_sq, ref_gradient_sq(f, g)),
-                     (gr.grad_magnitude, np.sqrt(ref_gradient_sq(f, g)))):
-        out = np.full(g.shape, np.nan)
-        fx, fy = np.full(f.shape, -np.inf), np.full(f.shape, np.nan)
-        assert op(f, g, out=out, fx=fx, fy=fy) is out
-        assert bitwise_equal(out, want)
-    assert bitwise_equal(f, f_before)
-
-
-@pytest.mark.parametrize("M", KERNEL_SIZES)
 def test_stencils_of_noncontiguous_inputs_match_reference_bitwise(M):
     g = Grid2D(M)
     u = signed_zero_field(np.random.default_rng(500 + M), g.shape + (3,))
@@ -370,10 +349,6 @@ def test_stencils_refuse_buffers_without_a_flat_view(M):
             laplacian(f, g, out=bad)
         with pytest.raises(ValueError, match="C-contiguous"):
             laplacian(f, g, tmp=bad)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            gr.gradient(f, g, fx=bad)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            gr.grad_magnitude(f, g, fy=bad)
 
 
 @pytest.mark.parametrize("M", KERNEL_SIZES)

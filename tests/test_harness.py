@@ -779,6 +779,22 @@ def test_cli_eoc_mode_rejects_invalid_run_keys(tmp_path, capsys, line):
     assert "configuration error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("initial", ["constant", "rotation", "problem"])
+def test_cli_eoc_mode_does_not_read_initial(tmp_path, monkeypatch, capsys, initial):
+    # constant and rotation data have zero error at every tau, so no study
+    # of them has an order; an eoc study runs the problem data alone
+    cfgfile = tmp_path / "eoc.cfg"
+    cfgfile.write_text(f"initial = {initial}\neoc_taus = 2^-7,2^-8\n")
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
+    out = tmp_path / "e"
+    rc = cli.main(["--config", str(cfgfile), "--mode", "eoc", "--grid", "4",
+                   "--out", str(out)])
+    assert rc == 3 and runs == [] and not out.exists()
+    captured = capsys.readouterr()
+    assert "eoc mode does not read initial" in captured.err and captured.out == ""
+
+
 def test_cli_flags_parse_like_file_values(tmp_path):
     args = cli.build_parser().parse_args(["--mode", "fixed", "--grid", "128", "--tau",
                                           "0.00048828125", "--tend", "0.0125",
