@@ -26,6 +26,8 @@ forward.  The step floor is the run's ``RunConfig.tau_min``.
 import math
 from dataclasses import dataclass
 
+from .estimator import growth_factor
+
 EQUIDISTRIBUTE = "equidistribute"
 UPDATED_TOLERANCE = "updated"
 
@@ -82,7 +84,5 @@ def decide(ctrl: AdaptiveController | None, tau: float, alpha_hat_j: float,
     else:
         tau_next = tau
     if ctrl.strategy == UPDATED_TOLERANCE:
-        half_int_delta = 0.5 * tau * delta_hat_j
-        # saturate at inf like the bound's own growth factor (exp overflows past ~709.8)
-        tol *= math.exp(half_int_delta) if half_int_delta < 708.0 else math.inf
+        tol *= growth_factor(tau * delta_hat_j)  # the bound's own growth, inf once it overflows
     return Decision(accepted=True, tau_next=tau_next, tol_next=tol)

@@ -44,7 +44,6 @@ _KEYS = {
     "tend": _Key("t_end", _parse_number, _MODES),
     "out": _Key("out_dir", str, _MODES),
     "fp_tol": _Key("fp_tol", _parse_number, _MODES),
-    "unit_tol": _Key("unit_tol", _parse_number, _MODES),
     "initial": _Key("initial", str, ("fixed", "adaptive")),
     "tau": _Key("tau", _parse_number, ("fixed", "adaptive")),
     "tau_min": _Key("tau_min", _parse_number, ("fixed", "adaptive")),

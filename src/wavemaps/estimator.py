@@ -289,13 +289,18 @@ class EstimatorState:
         self.log_B = math.log(self.b0) if self.b0 > 0.0 else -math.inf
 
 
+def growth_factor(int_delta: float) -> float:
+    """exp(int_delta / 2), the bound's growth over one interval; inf once
+    exp overflows (past about 709.8) instead of raising."""
+    return math.exp(0.5 * int_delta) if int_delta < 1416.0 else math.inf
+
+
 def accumulate(state: EstimatorState, int_alpha: float, int_delta: float) -> EstimatorState:
     """Advance the bound recurrence by one interval (mutates and returns state)."""
     if not (int_alpha >= 0.0 and int_delta >= 0.0):
         raise ValueError(f"interval integrals must be nonnegative, got {int_alpha}, {int_delta}")
-    growth = math.exp(0.5 * int_delta) if int_delta < 1416.0 else math.inf
     total = state.B_j + int_alpha
-    state.B_j = total * growth if total > 0.0 else 0.0  # 0 * inf would be nan
+    state.B_j = total * growth_factor(int_delta) if total > 0.0 else 0.0  # 0 * inf would be nan
     log_a = math.log(int_alpha) if int_alpha > 0.0 else -math.inf
     state.log_B = float(np.logaddexp(state.log_B, log_a)) + 0.5 * int_delta
     state.A_total += int_alpha

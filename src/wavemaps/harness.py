@@ -23,11 +23,14 @@ current state.  The solver's tolerance bounds what the start changes in
 the results.
 
 The initial state and every accepted state take one path: energy, the
-unit-length and orthogonality constraints to ``SolverConfig.unit_tol``
-(which the residual bounds assume), stores and snapshots.  A store time
-keeps the state only if the state lands on it to within 2^-40; a store
-time the run steps over keeps nothing.  Every snapshot time the state has
-reached writes its own numbered snapshot, so one step may write several.
+unit-length and orthogonality constraints to UNIT_TOL (which the residual
+bounds assume), stores and snapshots.  The solve stops once a sweep moves
+neither iterate by more than ``fp_tol``, and the constraint error it
+leaves grows with that tolerance, so a run takes no ``fp_tol`` above
+UNIT_TOL.  A store time keeps the state only if the state lands on it to
+within 2^-40; a store time the run steps over keeps nothing.  Every
+snapshot time the state has reached writes its own numbered snapshot, so
+one step may write several.
 
 Reference comparisons measure, over the times shared by two trajectories
 on the same grid,
@@ -55,6 +58,9 @@ from .scheme import (NonConvergence, SolverConfig, StepRecord, constant_data,
                      endpoint_terms, energy, initial_data, rotation_data, step)
 
 _TIME_ATOL = 2.0**-40
+# slack of the |u| = 1 and u . w = 0 node constraints on every kept state:
+# the residual bounds hold only for unit-length, orthogonal endpoints
+UNIT_TOL = 1e-9
 
 # snapshot schedule (fractions of T_end) mirroring the usual eight dump times
 DEFAULT_SNAPSHOT_FRACTIONS = (
@@ -75,7 +81,7 @@ class NonPositiveError(Exception):
 
 
 class ConstraintViolation(Exception):
-    """A state left |u| = 1, u . w = 0 by more than SolverConfig.unit_tol."""
+    """A state left |u| = 1, u . w = 0 by more than UNIT_TOL."""
 
 
 class StepFloor(Exception):
@@ -114,6 +120,8 @@ class RunConfig:
             raise ConfigError("the output directory must not be empty")
         if not 0.0 < self.tau_min < self.t_end:  # else the run takes no step
             raise ConfigError("need 0 < tau_min < t_end")
+        if self.solver.fp_tol > UNIT_TOL:  # the kept states would drift past it
+            raise ConfigError(f"fp_tol must be at most UNIT_TOL = {UNIT_TOL!r}")
         for name, times in (("snapshot", self.snapshot_times or ()), ("store", self.store_times)):
             if not all(map(math.isfinite, times)):
                 raise ConfigError(f"{name} times must be finite")  # a NaN breaks their order
@@ -196,7 +204,7 @@ def run(cfg: RunConfig) -> Trajectory:
     def keep(t, tau, u, w, terms):
         """Diagnostics, stores and snapshots of the initial or an accepted state."""
         traj.energies.append(energy(u, w, g))
-        unit_dev, orth_dev = _check_constraints(t, u, w, terms.mag_w, cfg.solver.unit_tol)
+        unit_dev, orth_dev = _check_constraints(t, u, w, terms.mag_w)
         traj.unit_dev_max = max(traj.unit_dev_max, unit_dev)
         traj.orth_dev_max = max(traj.orth_dev_max, orth_dev)
         traj.final_t, traj.final_u, traj.final_w = t, u, w
@@ -289,17 +297,17 @@ def _rates(rec, tau, g):
     return alpha_hat(rbf, g), delta_hat(rbf, g)
 
 
-def _check_constraints(t, u, w, mag_w, unit_tol):
+def _check_constraints(t, u, w, mag_w):
     """(max||u|-1|, max|u.w|) of one state with node-wise |w| = mag_w; raises
-    ConstraintViolation when either exceeds unit_tol, the orthogonality one
+    ConstraintViolation when either exceeds UNIT_TOL, the orthogonality one
     scaled by max(1, max|w|)."""
     unit_dev = gr.unit_deviation(u)
     orth_dev = gr.orthogonality_deviation(u, w)
-    orth_tol = unit_tol * max(1.0, float(mag_w.max()))
-    if not (unit_dev <= unit_tol and orth_dev <= orth_tol):
+    orth_tol = UNIT_TOL * max(1.0, float(mag_w.max()))
+    if not (unit_dev <= UNIT_TOL and orth_dev <= orth_tol):
         raise ConstraintViolation(
             f"at t={t!r}: max||u|-1| = {unit_dev:.3e}, max|u.w| = {orth_dev:.3e} "
-            f"(allowed {unit_tol:.3e} and {orth_tol:.3e})")
+            f"(allowed {UNIT_TOL:.3e} and {orth_tol:.3e})")
     return unit_dev, orth_dev
 
 

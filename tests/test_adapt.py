@@ -5,6 +5,7 @@ import pytest
 
 from wavemaps import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, SolverConfig, decide
 from wavemaps.adapt import GROW
+from wavemaps.harness import UNIT_TOL
 
 
 def make(strategy=EQUIDISTRIBUTE, **kw):
@@ -146,10 +147,12 @@ def test_controller_validation():
 
 
 def test_gains_and_sweep_cap_are_not_settings():
-    # adapt.GROW/SHRINK/SAFETY and scheme.FP_MAX_ITER are constants
+    # adapt.GROW/SHRINK/SAFETY, scheme.FP_MAX_ITER and harness.UNIT_TOL are constants
     with pytest.raises(TypeError):
         AdaptiveController(grow=1.5)
-    with pytest.raises(TypeError):
-        SolverConfig(fp_max_iter=50)
+    for key in ("fp_max_iter", "unit_tol"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{key: 50})
     assert [f.name for f in fields(AdaptiveController)] == ["strategy", "tol0", "tau_max"]
-    assert [f.name for f in fields(SolverConfig)] == ["fp_tol", "unit_tol"]
+    assert [f.name for f in fields(SolverConfig)] == ["fp_tol"]
+    assert UNIT_TOL == 1e-9

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import math
+import os
 import pathlib
 import re
+import tempfile
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemaps import (EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController,
                       ConfigError, EstimatorState, Grid2D, NonConvergence,
@@ -361,6 +369,9 @@ def test_eoc_study_rejects_bad_reference(monkeypatch):
     monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
     with pytest.raises(ConfigError, match="output directory"):  # before any run
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=0.1, out_dir="")
+    with pytest.raises(ConfigError, match="fp_tol"):
+        run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=0.1,
+                      solver=SolverConfig(fp_tol=1e-2))
     assert runs == []
 
     # the step times of t_end = inf never end: the study must stop before them
@@ -440,24 +451,31 @@ def test_controller_is_a_frozen_policy():
 def test_run_enforces_unit_tol_on_accepted_states(monkeypatch):
     import wavemaps.harness as hz
     real_step = hz.step
+    stretch = 1e-8
 
     def stretched_step(u, w, tau, cfg, g, guess=None):
         u1, w1, it = real_step(u, w, tau, cfg, g, guess)
-        return (1.0 + 1e-8) * u1, w1, it
+        return (1.0 + stretch) * u1, w1, it
 
     monkeypatch.setattr(hz, "step", stretched_step)
     cfg = RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="constant")
     with pytest.raises(hz.ConstraintViolation, match="t=0.02"):
         run(cfg)
-    # the same deviation passes a tolerance above it
-    traj = run(RunConfig(M=8, mode="fixed", tau=0.02, t_end=0.06, initial="constant",
-                         solver=SolverConfig(unit_tol=1e-7)))
-    assert 1e-8 < traj.unit_dev_max <= 1e-7  # the stretch compounds over 3 steps
+    # a deviation below UNIT_TOL passes; the stretch compounds over 3 steps
+    stretch = 2e-10
+    assert 4e-10 < run(cfg).unit_dev_max <= hz.UNIT_TOL
+
+
+def test_fp_tol_at_unit_tol_keeps_the_constraints():
+    # the loosest fp_tol a run takes: the README's fixed command stays far inside UNIT_TOL
+    traj = run(RunConfig(M=32, mode="fixed", tau=2.0**-9, t_end=0.2,
+                         solver=SolverConfig(fp_tol=harness.UNIT_TOL)))
+    assert traj.n_accepted == 103 and traj.unit_dev_max < 1e-10
 
 
 def test_run_checks_the_initial_state(monkeypatch):
     import wavemaps.harness as hz
-    # u . w = 0.1 at every node, far above unit_tol * max(1, |w|)
+    # u . w = 0.1 at every node, far above UNIT_TOL * max(1, |w|)
     monkeypatch.setattr(hz, "_initial_state", lambda cfg, g: (
         gr.constant_field(g, (1, 0, 0)), gr.constant_field(g, (0.1, 1, 0))))
     with pytest.raises(hz.ConstraintViolation, match="t=0.0"):
@@ -489,6 +507,10 @@ def test_run_config_validation():
         RunConfig(mode="adaptive", tau_min=1.0, controller=AdaptiveController(tau_max=0.5))
     with pytest.raises(ConfigError, match="output directory"):  # no file can be written
         RunConfig(out_dir="")
+    # the solve's drift from |u| = 1 grows with fp_tol: at 1e-6 an M = 8 run
+    # with tau = 2^-9 leaves UNIT_TOL at t = 0.0176 and would fail mid-run
+    with pytest.raises(ConfigError, match="fp_tol must be at most UNIT_TOL"):
+        RunConfig(solver=SolverConfig(fp_tol=2.0 * harness.UNIT_TOL))
 
 
 @pytest.mark.parametrize("key", ["tau", "t_end"])
@@ -556,18 +578,6 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert "t=0.05" in (out / "final.txt").read_text()
 
 
-@pytest.mark.parametrize("line", ["warp_factor = 9", "dump_residuals = 1",
-                                  "c_q = 1", "p_exp = 3", "b0 = 0.5",
-                                  "grow = 1.5", "shrink = 0.25", "safety = 0.5",
-                                  "fp_max_iter = 50"])
-def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"grid = 8\n{line}\n")
-    rc = cli.main(["--config", str(cfgfile)])
-    assert rc == 3
-    assert "configuration error" in capsys.readouterr().err
-
-
 def test_readme_documents_exactly_the_config_keys():
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [body for lang, body in re.findall(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S)
@@ -609,51 +619,6 @@ def test_cli_step_floor_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_cli_rejects_fixed_strategy(tmp_path, capsys):
-    cfgfile = tmp_path / "fixed.cfg"
-    cfgfile.write_text("grid = 8\nmode = adaptive\nstrategy = fixed\ntend = 0.01\n")
-    rc = cli.main(["--config", str(cfgfile)])
-    assert rc == 3
-    assert "configuration error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line, flags, message", [
-    ("tau = abc", [], "bad.cfg:2: tau: cannot parse 'abc'"),
-    ("tau = 2^2000", [], "bad.cfg:2: tau: cannot parse '2^2000'"),
-    ("", ["--tau", "abc"], "--tau: cannot parse 'abc'"),
-], ids=["file-text", "file-overflow", "flag-text"])
-def test_cli_parse_errors_name_the_key_and_the_text(tmp_path, monkeypatch, capsys,
-                                                     line, flags, message):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"grid = 8\n{line}\n")
-    monkeypatch.chdir(tmp_path)
-    rc = cli.main(["--config", "bad.cfg", *flags])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err == f"configuration error: {message}\n"
-
-
-@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-def test_cli_rejects_nonpositive_tau_min(tmp_path, capsys, mode):
-    cfgfile = tmp_path / "floor.cfg"
-    cfgfile.write_text(f"grid = 8\nmode = {mode}\ntau_min = -1\ntend = 0.01\n")
-    rc = cli.main(["--config", str(cfgfile)])
-    assert rc == 3
-    assert "configuration error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mode", ["fixed", "eoc"])
-def test_cli_rejects_controller_keys_outside_adaptive_mode(tmp_path, capsys, mode):
-    cfgfile = tmp_path / "ctrl.cfg"
-    cfgfile.write_text(f"grid = 8\nmode = {mode}\ntend = 0.01\neoc_taus = 2^-7,2^-8\n"
-                       "tau_ref = 2^-10\ntol0 = -3\ntau_max = -1\n")
-    rc = cli.main(["--config", str(cfgfile)])
-    assert rc == 3
-    captured = capsys.readouterr()
-    unread = {"fixed": "eoc_taus, tau_max, tau_ref, tol0", "eoc": "tau_max, tol0"}[mode]
-    assert f"{mode} mode does not read {unread}" in captured.err and captured.out == ""
-
-
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
     def failing_run(cfg):
         raise ValueError("boom")
@@ -680,119 +645,6 @@ def test_cli_eoc_mode(tmp_path, capsys):
     lib = tmp_path / "lib"
     run_eoc_study(M=8, taus=[2.0**-4, 2.0**-5], tau_ref=2.0**-8, t_end=0.05, out_dir=str(lib))
     assert (lib / "eoc.csv").read_bytes() == (out / "eoc.csv").read_bytes()
-
-
-@pytest.mark.parametrize("taus", ["0.003,0.0015", "2^-7,0.0029296875"])
-def test_cli_eoc_mode_rejects_taus_that_do_not_nest(tmp_path, monkeypatch, capsys, taus):
-    # 0.003 halves to 0.0015, which is no multiple of tau_ref = 2^-12;
-    # 2^-7 is not twice 3 * 2^-10, so no EOC of the pair would be an order
-    message = {"0.003,0.0015": "eoc_taus do not nest",
-               "2^-7,0.0029296875": "eoc_taus do not halve"}[taus]
-    cfgfile = tmp_path / "eoc.cfg"
-    cfgfile.write_text(f"eoc_taus = {taus}\ntau_ref = 2^-12\n")
-    runs = []
-    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
-    rc = cli.main(["--config", str(cfgfile), "--mode", "eoc", "--grid", "8", "--tend", "0.03"])
-    assert rc == 3 and runs == []  # decided from the settings, before any run
-    captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("mode, line, flags", [
-    # keys the chosen mode never reads
-    ("fixed", "eoc_taus = 2^-3", []),
-    ("fixed", "tau_ref = 0.3", []),
-    ("adaptive", "eoc_taus = 2^-7,2^-8", []),
-    ("eoc", "tau_min = 0.01", []),
-    ("eoc", "snapshots = 7", []),
-    ("eoc", "", ["--tau", "0.5"]),
-    # an eoc reference step or eoc tau outside (0, inf)
-    ("eoc", "tau_ref = 0", []),
-    ("eoc", "tau_ref = nan", []),
-    ("eoc", "eoc_taus = 2^-4,nan", []),
-    ("eoc", "eoc_taus = inf,2^-4", []),
-    # eoc taus that do not halve: log2 of an error ratio would be no order
-    ("eoc", "eoc_taus = 2^-5,2^-7,2^-8\ntau_ref = 2^-11", []),
-    # flags that do not parse or do not exist, and values no run takes
-    ("fixed", "", ["--grid", "x"]),
-    ("foo", "", []),
-    ("fixed", "", ["--bogus", "1"]),
-    ("adaptive", "", ["--strategy", "bar"]),
-    ("fixed", "", ["--tau", "2^2000"]),
-    ("fixed", "tau = 2^2000", []),
-], ids=["fixed-eoc_taus", "fixed-tau_ref", "adaptive-eoc_taus", "eoc-tau_min",
-        "eoc-snapshots", "eoc-tau", "eoc-tau_ref_zero", "eoc-tau_ref_nan", "eoc-tau_nan",
-        "eoc-tau_inf", "eoc-taus_not_halving", "flag-grid_not_int", "flag-mode_unknown",
-        "flag-unknown", "flag-strategy_unknown", "flag-tau_overflow", "file-tau_overflow"])
-def test_cli_rejects_invalid_configuration_before_any_run(tmp_path, monkeypatch, capsys,
-                                                          mode, line, flags):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"grid = 8\ntend = 0.03\n{line}\n")
-    runs = []
-    for module in (harness, cli):  # fixed and adaptive runs call the name cli imported
-        monkeypatch.setattr(module, "run", lambda cfg: runs.append(cfg))
-    rc = cli.main(["--config", str(cfgfile), "--mode", mode, *flags])
-    assert rc == 3 and runs == []
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("args, cfg_line", [
-    (["--mode", "fixed", "--out", ""], None),
-    (["--mode", "adaptive", "--out", ""], None),
-    (["--mode", "eoc", "--out", ""], None),
-    (["--mode", "fixed"], "out ="),
-    (["--mode", "eoc"], "out = "),
-], ids=["fixed-flag", "adaptive-flag", "eoc-flag", "fixed-file", "eoc-file"])
-def test_empty_output_directory_is_a_configuration_error(tmp_path, monkeypatch, capsys,
-                                                         args, cfg_line):
-    # no file can be written to "": found before any run, and nothing is written
-    monkeypatch.chdir(tmp_path)
-    runs = []
-    for module in (harness, cli):
-        monkeypatch.setattr(module, "run", lambda cfg: runs.append(cfg))
-    if cfg_line is not None:
-        (tmp_path / "run.cfg").write_text(f"{cfg_line}\n")
-        args = [*args, "--config", "run.cfg"]
-    rc = cli.main([*args, "--grid", "8", "--tend", "0.03"])
-    assert rc == 3 and runs == []
-    captured = capsys.readouterr()
-    assert "output directory must not be empty" in captured.err and captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if cfg_line else [])
-
-
-@pytest.mark.parametrize("mode", ["fixed", "eoc"])
-def test_cli_rejects_nan_tend(capsys, mode):
-    rc = cli.main(["--mode", mode, "--grid", "8", "--tend", "nan"])
-    assert rc == 3
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("line", ["strategy = nonsense", "tau_min = -1", "grid = 1"])
-def test_cli_eoc_mode_rejects_invalid_run_keys(tmp_path, capsys, line):
-    cfgfile = tmp_path / "eoc.cfg"
-    cfgfile.write_text(f"grid = 8\nmode = eoc\n{line}\n")
-    rc = cli.main(["--config", str(cfgfile)])
-    assert rc == 3
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("initial", ["constant", "rotation", "problem"])
-def test_cli_eoc_mode_does_not_read_initial(tmp_path, monkeypatch, capsys, initial):
-    # constant and rotation data have zero error at every tau, so no study
-    # of them has an order; an eoc study runs the problem data alone
-    cfgfile = tmp_path / "eoc.cfg"
-    cfgfile.write_text(f"initial = {initial}\neoc_taus = 2^-7,2^-8\n")
-    runs = []
-    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg))
-    out = tmp_path / "e"
-    rc = cli.main(["--config", str(cfgfile), "--mode", "eoc", "--grid", "4",
-                   "--out", str(out)])
-    assert rc == 3 and runs == [] and not out.exists()
-    captured = capsys.readouterr()
-    assert "eoc mode does not read initial" in captured.err and captured.out == ""
 
 
 def test_cli_flags_parse_like_file_values(tmp_path):
@@ -833,3 +685,219 @@ def test_cli_dyadic_number_parser():
     assert cli._parse_number("2^-9") == 2.0**-9
     assert cli._parse_number("0.125") == 0.125
     assert cli._parse_number(" 1e-4 ") == 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the configuration contract
+#
+# Each row is one command line that must exit 3 before any run: its argv, the
+# text of the config file bad.cfg that it names (None: no file) and a fragment
+# of the error.  Rows are grouped under the test ids they have always had.
+
+_Rejected = namedtuple("_Rejected", "id argv text fragment")
+_OUT_OF_RANGE = "t_end, tau_ref and every eoc tau must be positive and finite"
+_REJECTED = {
+    "test_cli_rejects_unknown_config_key": [
+        _Rejected(line, [], f"grid = 8\n{line}\n", f"bad.cfg:2: unknown key '{line.split()[0]}'")
+        for line in ["warp_factor = 9", "dump_residuals = 1", "c_q = 1", "p_exp = 3",
+                     "b0 = 0.5", "grow = 1.5", "shrink = 0.25", "safety = 0.5",
+                     "fp_max_iter = 50", "unit_tol = 1e-7"]],
+    "test_cli_rejects_fixed_strategy": [
+        _Rejected(None, [], "grid = 8\nmode = adaptive\nstrategy = fixed\ntend = 0.01\n",
+                  "unknown strategy 'fixed'")],
+    "test_cli_parse_errors_name_the_key_and_the_text": [
+        _Rejected("file-text", [], "grid = 8\ntau = abc\n", "bad.cfg:2: tau: cannot parse 'abc'"),
+        _Rejected("file-overflow", [], "grid = 8\ntau = 2^2000\n",
+                  "bad.cfg:2: tau: cannot parse '2^2000'"),
+        _Rejected("flag-text", ["--tau", "abc"], "grid = 8\n\n", "--tau: cannot parse 'abc'")],
+    "test_cli_rejects_nonpositive_tau_min": [
+        _Rejected(mode, [], f"grid = 8\nmode = {mode}\ntau_min = -1\ntend = 0.01\n",
+                  "need 0 < tau_min < t_end") for mode in ["fixed", "adaptive"]],
+    "test_cli_rejects_controller_keys_outside_adaptive_mode": [
+        _Rejected(mode, [], f"grid = 8\nmode = {mode}\ntend = 0.01\neoc_taus = 2^-7,2^-8\n"
+                  "tau_ref = 2^-10\ntol0 = -3\ntau_max = -1\n", f"{mode} mode does not read {unread}")
+        for mode, unread in [("fixed", "eoc_taus, tau_max, tau_ref, tol0"),
+                             ("eoc", "tau_max, tol0")]],
+    "test_cli_eoc_mode_rejects_taus_that_do_not_nest": [
+        _Rejected(taus, ["--mode", "eoc", "--grid", "8", "--tend", "0.03"],
+                  f"eoc_taus = {taus}\ntau_ref = 2^-12\n", fragment)
+        # 0.0015 is no multiple of tau_ref = 2^-12; 2^-7 is not twice 3 * 2^-10
+        for taus, fragment in [("0.003,0.0015", "eoc_taus do not nest"),
+                               ("2^-7,0.0029296875", "eoc_taus do not halve")]],
+    "test_cli_rejects_invalid_configuration_before_any_run": [
+        _Rejected(row_id, ["--mode", mode, *flags], f"grid = 8\ntend = 0.03\n{line}\n", fragment)
+        for row_id, mode, line, flags, fragment in [
+            # keys the chosen mode never reads
+            ("fixed-eoc_taus", "fixed", "eoc_taus = 2^-3", [], "fixed mode does not read eoc_taus"),
+            ("fixed-tau_ref", "fixed", "tau_ref = 0.3", [], "fixed mode does not read tau_ref"),
+            ("adaptive-eoc_taus", "adaptive", "eoc_taus = 2^-7,2^-8", [],
+             "adaptive mode does not read eoc_taus"),
+            ("eoc-tau_min", "eoc", "tau_min = 0.01", [], "eoc mode does not read tau_min"),
+            ("eoc-snapshots", "eoc", "snapshots = 7", [], "eoc mode does not read snapshots"),
+            ("eoc-tau", "eoc", "", ["--tau", "0.5"], "eoc mode does not read tau"),
+            # an eoc reference step or eoc tau outside (0, inf)
+            ("eoc-tau_ref_zero", "eoc", "tau_ref = 0", [], _OUT_OF_RANGE),
+            ("eoc-tau_ref_nan", "eoc", "tau_ref = nan", [], _OUT_OF_RANGE),
+            ("eoc-tau_nan", "eoc", "eoc_taus = 2^-4,nan", [], _OUT_OF_RANGE),
+            ("eoc-tau_inf", "eoc", "eoc_taus = inf,2^-4", [], _OUT_OF_RANGE),
+            # eoc taus that do not halve: log2 of an error ratio would be no order
+            ("eoc-taus_not_halving", "eoc", "eoc_taus = 2^-5,2^-7,2^-8\ntau_ref = 2^-11", [],
+             "eoc_taus do not halve: 0.03125 is not twice 0.0078125"),
+            # flags that do not parse or do not exist, and values no run takes
+            ("flag-grid_not_int", "fixed", "", ["--grid", "x"], "--grid: cannot parse 'x'"),
+            ("flag-mode_unknown", "foo", "", [], "unknown mode 'foo'"),
+            ("flag-unknown", "fixed", "", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            ("flag-strategy_unknown", "adaptive", "", ["--strategy", "bar"],
+             "unknown strategy 'bar'"),
+            ("flag-tau_overflow", "fixed", "", ["--tau", "2^2000"],
+             "--tau: cannot parse '2^2000'"),
+            ("file-tau_overflow", "fixed", "tau = 2^2000", [],
+             "bad.cfg:3: tau: cannot parse '2^2000'"),
+            # a solve this loose leaves the node constraints mid-run
+            ("fixed-fp_tol_above_unit_tol", "fixed", "fp_tol = 1e-6", [],
+             "fp_tol must be at most UNIT_TOL = 1e-09"),
+            ("eoc-fp_tol_above_unit_tol", "eoc", "fp_tol = 2e-9", [],
+             "fp_tol must be at most UNIT_TOL = 1e-09")]],
+    # no file can be written to ""
+    "test_empty_output_directory_is_a_configuration_error": [
+        _Rejected(row_id, [*flags, "--grid", "8", "--tend", "0.03"], text,
+                  "the output directory must not be empty")
+        for row_id, flags, text in [
+            ("fixed-flag", ["--mode", "fixed", "--out", ""], None),
+            ("adaptive-flag", ["--mode", "adaptive", "--out", ""], None),
+            ("eoc-flag", ["--mode", "eoc", "--out", ""], None),
+            ("fixed-file", ["--mode", "fixed"], "out =\n"),
+            ("eoc-file", ["--mode", "eoc"], "out = \n")]],
+    "test_cli_rejects_nan_tend": [
+        _Rejected(mode, ["--mode", mode, "--grid", "8", "--tend", "nan"], None,
+                  "t_end must be positive and finite") for mode in ["fixed", "eoc"]],
+    "test_cli_eoc_mode_rejects_invalid_run_keys": [
+        _Rejected(line, [], f"grid = 8\nmode = eoc\n{line}\n", fragment)
+        for line, fragment in [("strategy = nonsense", "eoc mode does not read strategy"),
+                               ("tau_min = -1", "eoc mode does not read tau_min"),
+                               ("grid = 1", "M must be at least 2")]],
+    # constant and rotation data have zero error at every tau, so no study of
+    # them has an order; an eoc study runs the problem data alone
+    "test_cli_eoc_mode_does_not_read_initial": [
+        _Rejected(initial, ["--mode", "eoc", "--grid", "4", "--out", "e"],
+                  f"initial = {initial}\neoc_taus = 2^-7,2^-8\n", "eoc mode does not read initial")
+        for initial in ["constant", "rotation", "problem"]],
+}
+
+
+def _assert_rejected(row, tmp_path, monkeypatch, capsys):
+    """row's command line exits 3 with one error line, starts no run and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for module in (harness, cli):  # fixed and adaptive runs call the name cli imported
+        monkeypatch.setattr(module, "run", runs.append)
+    argv = row.argv
+    if row.text is not None:
+        (tmp_path / "bad.cfg").write_text(row.text)
+        argv = [*argv, "--config", "bad.cfg"]
+    assert cli.main(argv) == 3 and runs == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1 and row.fragment in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if row.text is None else ["bad.cfg"])
+
+
+def _rejection_test(rows):
+    if rows[0].id is None:  # a lone row keeps the plain test id it had
+        def test(tmp_path, monkeypatch, capsys, row=rows[0]):
+            _assert_rejected(row, tmp_path, monkeypatch, capsys)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(row, tmp_path, monkeypatch, capsys):
+        _assert_rejected(row, tmp_path, monkeypatch, capsys)
+    return test
+
+
+for _name, _rows in _REJECTED.items():
+    globals()[_name] = _rejection_test(_rows)
+
+
+# Values drawn for the property below.  Any combination of values from
+# _VALID is a configuration the modes that read them run.  _ANY holds
+# boundary values and junk, which only some keys take (out = 0 names a
+# directory).  Neither draws a tiny eoc tau or tau_ref or a huge tend:
+# run_eoc_study lists the finest tau's step times before any run, so those
+# are slow settings, not configuration errors.
+_VALID = {
+    "grid": ["2", "8"], "mode": ["fixed", "adaptive", "eoc"], "tend": ["0.02", "2^-3"],
+    "out": ["o"], "fp_tol": ["1e-12", "1e-9"], "initial": ["problem", "constant", "rotation"],
+    "tau": ["2^-9", "0.5"], "tau_min": ["2^-20", "2^-14"], "snapshots": ["0", "0.01,0.02"],
+    "strategy": ["equidistribute", "updated"], "tol0": ["1e-6", "50"],
+    "tau_max": ["2^-9", "2^-6"], "eoc_taus": ["2^-4", "2^-5,2^-6"],
+    "tau_ref": ["2^-11", "2^-12"],
+    "unit_tol": ["1e-9"], "grow": ["1.2"],  # former keys: a line naming one exits 3
+}
+_ANY = ["0", "-1", "nan", "inf", "2^2000", "1e-6", "", "abc", "2^", "1,,2"]
+_FLAGS = set(vars(cli.build_parser().parse_args([]))) - {"config"}
+
+
+class _RunStarted(Exception):
+    pass
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.data())
+def test_cli_exits_3_before_any_run_or_runs_every_given_key(data):
+    # mostly keys that the drawn mode reads, as a flag where one exists, and
+    # at most one stray key anywhere; three in four values from _VALID
+    mode = data.draw(st.sampled_from(_VALID["mode"]))
+    read = [key for key in cli._KEYS if mode in cli._KEYS[key].modes and key != "mode"]
+    keys = data.draw(st.lists(st.sampled_from(read), unique=True, max_size=5))
+    if mode != "fixed" or data.draw(st.booleans()):  # fixed is also the default
+        keys.insert(0, "mode")
+    stray = data.draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=1))
+    drawn = {}  # key -> (text, as a flag, from _VALID)
+    for key in dict.fromkeys(keys + stray):
+        valid = data.draw(st.integers(0, 3).map(bool))
+        values = ([mode] if key == "mode" else _VALID[key]) if valid else _ANY
+        flag = data.draw(st.booleans()) and (key in _FLAGS or key in stray)
+        drawn[key] = (data.draw(st.sampled_from(values)), flag, valid)
+    argv = [token for key, (text, flag, _) in drawn.items() if flag
+            for token in (f"--{key}", text)]
+    lines = "".join(f"{key} = {text}\n" for key, (text, flag, _) in drawn.items() if not flag)
+    mode = drawn.get("mode", ("fixed",))[0]
+    runs = []
+
+    def started(cfg):
+        runs.append(cfg)
+        raise _RunStarted
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "run", started), \
+            mock.patch.object(cli, "run", started):
+        os.chdir(tmp)
+        try:
+            if lines:
+                pathlib.Path("bad.cfg").write_text(lines)
+                argv += ["--config", "bad.cfg"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            written = sorted(os.listdir())
+        finally:
+            os.chdir(cwd)
+    assert written == (["bad.cfg"] if lines else [])
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    if rc == 3:
+        assert runs == [] and err.getvalue().startswith("configuration error: ")
+        assert err.getvalue().count("\n") == 1
+        # known keys that the mode reads, flags that exist and valid values: it runs
+        assert not all(key in cli._KEYS and mode in cli._KEYS[key].modes
+                       and (key in _FLAGS or not flag) and valid
+                       for key, (_, flag, valid) in drawn.items()), err.getvalue()
+        return
+    assert (rc, len(runs)) == (4, 1) and "_RunStarted" in err.getvalue()
+    assert all(mode in cli._KEYS[key].modes for key in drawn)
+    if mode != "eoc":  # an eoc study's first run is its reference
+        cfg = runs[0]
+        for key, (text, _, _) in drawn.items():
+            field = cli._KEYS[key].field
+            owner = next(obj for obj in (cfg, cfg.solver, cfg.controller)
+                         if field in {f.name for f in fields(obj)})
+            assert getattr(owner, field) == cli._KEYS[key].parse(text), key

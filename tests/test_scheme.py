@@ -278,10 +278,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(fp_tol=0.0)
     # a NaN tolerance passes no comparison: fp_tol would never stop a solve
-    # and unit_tol would fail every state; unit_tol = inf would accept states
-    # off the sphere, which the bound assumes away
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="fp_tol"):
             SolverConfig(fp_tol=value)
-        with pytest.raises(ValueError, match="unit_tol"):
-            SolverConfig(unit_tol=value)
