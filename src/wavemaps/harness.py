@@ -32,14 +32,18 @@ within 2^-40; a store time the run steps over keeps nothing.  Every
 snapshot time the state has reached writes its own numbered snapshot, so
 one step may write several.
 
-Reference comparisons measure, over the times shared by two trajectories
-on the same grid,
+Reference comparisons measure the distance of a coarse trajectory from a
+reference on the same grid,
 
     err_w  = max_t || w_coarse - w_ref ||_L2
     err_gu = max_t || grad(u_coarse - u_ref) ||_L2,
 
-which requires the coarse step times to nest into the reference times;
-dyadic fixed steps guarantee that exactly.
+over the coarse times, each of which must be a time the reference stored;
+dyadic fixed steps nest exactly.  A run given ``RunConfig.reference``
+takes these maxima over its accepted states as it steps and keeps only
+the two numbers; ``energy_norm_error`` takes them over the states that a
+coarse run stored.  Both read one lookup and one distance, so they agree
+bit for bit.
 """
 
 import bisect
@@ -104,6 +108,10 @@ class RunConfig:
     out_dir: str | None = None
     snapshot_times: tuple | None = None  # None -> DEFAULT_SNAPSHOT_FRACTIONS * t_end
     store_times: tuple = ()  # keep (t, u, w) in memory at these times
+    # a run on the same grid that stored every accepted time of this one: the
+    # distance from it is measured as the run steps (Trajectory.err_w, err_gu);
+    # it holds arrays, so repr and == leave it out
+    reference: "Trajectory | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
@@ -122,6 +130,8 @@ class RunConfig:
             raise ConfigError("need 0 < tau_min < t_end")
         if self.solver.fp_tol > UNIT_TOL:  # the kept states would drift past it
             raise ConfigError(f"fp_tol must be at most UNIT_TOL = {UNIT_TOL!r}")
+        if self.reference is not None and self.reference.grid != Grid2D(self.M):
+            raise ConfigError("the reference trajectory lives on another grid")
         for name, times in (("snapshot", self.snapshot_times or ()), ("store", self.store_times)):
             if not all(map(math.isfinite, times)):
                 raise ConfigError(f"{name} times must be finite")  # a NaN breaks their order
@@ -150,6 +160,10 @@ class Trajectory:
     final_t: float  # the last kept state
     final_u: np.ndarray
     final_w: np.ndarray
+    # with RunConfig.reference, the largest distances of the accepted states
+    # from it, max ||w - w_ref||_L2 and max ||grad(u - u_ref)||_L2; else None
+    err_w: float | None = None
+    err_gu: float | None = None
 
     @property
     def n_accepted(self) -> int:
@@ -200,6 +214,8 @@ def run(cfg: RunConfig) -> Trajectory:
     traj = Trajectory(grid=g, states=[], est=EstimatorState(), controller_rows=[],
                       estimator_rows=[], energies=[], unit_dev_max=0.0, orth_dev_max=0.0,
                       final_t=t, final_u=u, final_w=w)
+    if cfg.reference is not None:
+        traj.err_w = traj.err_gu = 0.0
 
     def keep(t, tau, u, w, terms):
         """Diagnostics, stores and snapshots of the initial or an accepted state."""
@@ -258,6 +274,9 @@ def run(cfg: RunConfig) -> Trajectory:
 
         last = (u, w, tau_eff)
         u, w, terms, t = u1, w1, terms1, t_new
+        if cfg.reference is not None:
+            traj.err_w, traj.err_gu = _max_distance(traj.err_w, traj.err_gu, t, u, w,
+                                                    cfg.reference)
         keep(t, tau_eff, u, w, terms)
 
     if cfg.out_dir is not None:
@@ -316,23 +335,29 @@ def _check_constraints(t, u, w, mag_w):
 
 
 def energy_norm_error(coarse: Trajectory, ref: Trajectory):
-    """(err_w, err_gu) over the stored times shared by both trajectories."""
+    """(err_w, err_gu) over the stored times of ``coarse``, each of which
+    ``ref`` must have stored too."""
     if coarse.grid != ref.grid:
         raise TimeMismatch("trajectories live on different grids")
-    g = coarse.grid
     if not coarse.states:
         raise TimeMismatch("coarse trajectory stored no states")
-    ref_times = [t for t, _, _ in ref.states]
-    err_w = 0.0
-    err_gu = 0.0
+    err_w = err_gu = 0.0
     for t, u_c, w_c in coarse.states:
-        k = bisect.bisect_left(ref_times, t - _TIME_ATOL)
-        if k == len(ref_times) or abs(ref_times[k] - t) > _TIME_ATOL:
-            raise TimeMismatch(f"time {t!r} missing from reference trajectory")
-        _, u_r, w_r = ref.states[k]
-        err_w = max(err_w, gr.lp_norm(w_c - w_r, 2.0, g))
-        err_gu = max(err_gu, math.sqrt(gr.integrate(gr.gradient_sq(u_c - u_r, g), g)))
+        err_w, err_gu = _max_distance(err_w, err_gu, t, u_c, w_c, ref)
     return err_w, err_gu
+
+
+def _max_distance(err_w, err_gu, t, u, w, ref: Trajectory):
+    """(err_w, err_gu) raised to the distances of the state (u, w) at time t
+    from the state that ``ref`` stored at t to within 2^-40,
+    ||w - w_ref||_L2 and ||grad(u - u_ref)||_L2; TimeMismatch if it stored none."""
+    k = bisect.bisect_left(ref.states, t - _TIME_ATOL, key=lambda state: state[0])
+    if k == len(ref.states) or abs(ref.states[k][0] - t) > _TIME_ATOL:
+        raise TimeMismatch(f"time {t!r} missing from reference trajectory")
+    _, u_r, w_r = ref.states[k]
+    g = ref.grid
+    return (max(err_w, gr.lp_norm(w - w_r, 2.0, g)),
+            max(err_gu, math.sqrt(gr.integrate(gr.gradient_sq(u - u_r, g), g))))
 
 
 def eoc(e_coarse: float, e_fine: float) -> float:
@@ -355,8 +380,10 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     k * tau_ref to within 2^-40; a coarser step time k * (2^j * tau_f)
     rounds the same real product as (k * 2^j) * tau_f, so it is stored too.
     Taus that do not halve or nest raise ConfigError before any run, as do
-    an empty list of taus, a t_end, tau_ref or tau not positive and finite
-    and an empty ``out_dir``.
+    an empty list of taus, a t_end, tau_ref or tau not positive and finite,
+    a tau_ref below t_end / 2^53 and an empty ``out_dir``.
+    Only the reference stores states: each coarse run carries it as
+    ``RunConfig.reference`` and measures its errors as it steps.
     With an ``out_dir``, the rows go to eoc.csv there once the study is done.
     """
     if not taus:
@@ -365,6 +392,8 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
         raise ConfigError("the output directory must not be empty")
     if not all(0.0 < t < math.inf for t in (t_end, tau_ref, *taus)):
         raise ConfigError("t_end, tau_ref and every eoc tau must be positive and finite")
+    if t_end / tau_ref > 2.0**53:  # past 2^53 steps, k * tau_ref rounds k
+        raise ConfigError(f"tau_ref {tau_ref!r} takes more than 2^53 steps to t_end {t_end!r}")
     solver = solver if solver is not None else SolverConfig()
     taus = sorted(taus, reverse=True)
     if any(t <= tau_ref for t in taus):
@@ -382,8 +411,8 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     rows = []
     for tau in taus:
         traj = run(RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
-                             store_times=tuple(_step_times(tau, t_end))))
-        err_w, err_gu = energy_norm_error(traj, ref)
+                             reference=ref))
+        err_w, err_gu = traj.err_w, traj.err_gu
         eoc_w, eoc_gu = ((eoc(rows[-1][1], err_w), eoc(rows[-1][3], err_gu)) if rows
                          else (None, None))
         rows.append((tau, err_w, eoc_w, err_gu, eoc_gu))

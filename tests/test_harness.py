@@ -5,8 +5,9 @@ import os
 import pathlib
 import re
 import tempfile
+import tracemalloc
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -381,6 +382,82 @@ def test_eoc_study_rejects_bad_reference(monkeypatch):
     monkeypatch.setattr(harness, "_step_times", endless)
     with pytest.raises(ConfigError, match="t_end"):
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-8, t_end=math.inf)
+    # past 2^53 steps the step times k * tau_ref are inexact, and 5e-324 overflowed
+    for tau_ref in (5e-324, 1e-300, 2.0**-57):
+        with pytest.raises(ConfigError, match="more than 2"):
+            run_eoc_study(M=4, taus=[2.0**-7], tau_ref=tau_ref, t_end=2.0**-3)
+    assert runs == []
+
+
+def test_eoc_study_takes_a_reference_of_2_to_the_53_steps(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(cfg):
+        raise Started
+
+    monkeypatch.setattr(harness, "run", started)
+    with pytest.raises(Started):  # exact step times: a valid, if long, study
+        run_eoc_study(M=4, taus=[2.0**-7], tau_ref=2.0**-56, t_end=2.0**-3)
+
+
+@pytest.mark.parametrize("study", [
+    dict(M=8, taus=[2.0**-5, 2.0**-6, 2.0**-7], tau_ref=2.0**-10, t_end=0.1),
+    # acceptance criterion 2
+    dict(M=32, taus=[2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10], tau_ref=2.0**-13, t_end=0.2)],
+    ids=["M8", "criterion-2"])
+def test_eoc_study_errors_equal_those_of_stored_trajectories(monkeypatch, study):
+    # each coarse run measures its errors as it steps and stores nothing; a
+    # run that stores every step time gives the same errors, bit for bit
+    runs = []
+    original = harness.run
+
+    def recorded(cfg):
+        runs.append((cfg, original(cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(harness, "run", recorded)
+    rows = run_eoc_study(**study)
+    (_, ref), *coarse = runs
+    assert [row[0] for row in rows] == [cfg.tau for cfg, _ in coarse]
+    for (cfg, traj), row in zip(coarse, rows):
+        assert cfg.reference is ref and cfg.store_times == () and traj.states == []
+        stored = original(replace(cfg, reference=None,
+                                  store_times=tuple(harness._step_times(cfg.tau, cfg.t_end))))
+        assert len(stored.states) == traj.n_accepted
+        assert energy_norm_error(stored, ref) == (traj.err_w, traj.err_gu) == (row[1], row[3])
+
+
+def test_reference_run_compares_every_accepted_state():
+    ref = run(RunConfig(M=8, tau=2.0**-6, t_end=2.0**-4,
+                        store_times=(2.0**-6, 2.0**-5, 3 * 2.0**-6, 2.0**-4)))
+    again = run(RunConfig(M=8, tau=2.0**-6, t_end=2.0**-4, reference=ref))
+    assert (again.err_w, again.err_gu) == (0.0, 0.0) and again.states == []
+    assert (ref.err_w, ref.err_gu) == (None, None)
+    # 2^-7 is a step time of the coarse run that the reference did not store
+    with pytest.raises(TimeMismatch, match="time 0.0078125 missing"):
+        run(RunConfig(M=8, tau=2.0**-7, t_end=2.0**-4, reference=ref))
+    with pytest.raises(ConfigError, match="another grid"):
+        RunConfig(M=16, tau=2.0**-6, t_end=2.0**-4, reference=ref)
+    # at M = 8 the smallness condition rejects tau = 2^-4, so the run steps at
+    # 2^-5: its errors are not those of the tau in the row
+    with pytest.raises(TimeMismatch, match="time 0.03125 missing"):
+        run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-6, t_end=2.0**-3)
+
+
+def test_eoc_study_holds_only_the_reference_states():
+    # 32 reference states (u and w) and the fields of one run; a study that
+    # also kept its coarse states would hold 48 more at once, 2^-8's and 2^-7's
+    kw = dict(M=16, taus=[2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8], tau_ref=2.0**-11, t_end=2.0**-3)
+    vector_field = 17 * 17 * 3 * 8
+    run_eoc_study(**{**kw, "M": 8})  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        run_eoc_study(**kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * 32 + 64) * vector_field
 
 
 def test_adaptive_run_never_attempts_a_step_above_tau_max():
@@ -738,6 +815,11 @@ _REJECTED = {
             # an eoc reference step or eoc tau outside (0, inf)
             ("eoc-tau_ref_zero", "eoc", "tau_ref = 0", [], _OUT_OF_RANGE),
             ("eoc-tau_ref_nan", "eoc", "tau_ref = nan", [], _OUT_OF_RANGE),
+            # a reference of more than 2^53 steps: its step times are inexact
+            ("eoc-tau_ref_subnormal", "eoc", "tau_ref = 5e-324", [],
+             "tau_ref 5e-324 takes more than 2^53 steps to t_end 0.03"),
+            ("eoc-tau_ref_tiny", "eoc", "tau_ref = 1e-300", [],
+             "tau_ref 1e-300 takes more than 2^53 steps to t_end 0.03"),
             ("eoc-tau_nan", "eoc", "eoc_taus = 2^-4,nan", [], _OUT_OF_RANGE),
             ("eoc-tau_inf", "eoc", "eoc_taus = inf,2^-4", [], _OUT_OF_RANGE),
             # eoc taus that do not halve: log2 of an error ratio would be no order
@@ -821,9 +903,10 @@ for _name, _rows in _REJECTED.items():
 # Values drawn for the property below.  Any combination of values from
 # _VALID is a configuration the modes that read them run.  _ANY holds
 # boundary values and junk, which only some keys take (out = 0 names a
-# directory).  Neither draws a tiny eoc tau or tau_ref or a huge tend:
-# run_eoc_study lists the finest tau's step times before any run, so those
-# are slow settings, not configuration errors.
+# directory); 5e-324 is a tau_ref of more than 2^53 steps.  Neither draws
+# a tiny tau_ref above that bound, a tiny eoc tau above a tiny tau_ref or a
+# huge tend: run_eoc_study lists the finest tau's step times before any
+# run, so those are slow settings, not configuration errors.
 _VALID = {
     "grid": ["2", "8"], "mode": ["fixed", "adaptive", "eoc"], "tend": ["0.02", "2^-3"],
     "out": ["o"], "fp_tol": ["1e-12", "1e-9"], "initial": ["problem", "constant", "rotation"],
@@ -833,7 +916,7 @@ _VALID = {
     "tau_ref": ["2^-11", "2^-12"],
     "unit_tol": ["1e-9"], "grow": ["1.2"],  # former keys: a line naming one exits 3
 }
-_ANY = ["0", "-1", "nan", "inf", "2^2000", "1e-6", "", "abc", "2^", "1,,2"]
+_ANY = ["0", "-1", "nan", "inf", "2^2000", "1e-6", "5e-324", "", "abc", "2^", "1,,2"]
 _FLAGS = set(vars(cli.build_parser().parse_args([]))) - {"config"}
 
 
@@ -858,6 +941,23 @@ def test_cli_exits_3_before_any_run_or_runs_every_given_key(data):
         values = ([mode] if key == "mode" else _VALID[key]) if valid else _ANY
         flag = data.draw(st.booleans()) and (key in _FLAGS or key in stray)
         drawn[key] = (data.draw(st.sampled_from(values)), flag, valid)
+    _assert_exit_3_or_run(drawn)
+
+
+def test_cli_one_boundary_value_exits_3_or_runs():
+    # every key a mode reads, set to each value of _ANY while the others keep
+    # their defaults: the property seldom draws one boundary value alone, and
+    # its 250 draws never put 5e-324 alone in an eoc tau_ref
+    for mode in _VALID["mode"]:
+        for key in cli._KEYS:
+            if mode in cli._KEYS[key].modes and key != "mode":
+                for text in _ANY:
+                    _assert_exit_3_or_run({"mode": (mode, False, True), key: (text, False, False)})
+
+
+def _assert_exit_3_or_run(drawn):
+    """The command line of drawn, key -> (text, as a flag, from _VALID), exits 3
+    before any run, or starts one run in a mode that reads every given key."""
     argv = [token for key, (text, flag, _) in drawn.items() if flag
             for token in (f"--{key}", text)]
     lines = "".join(f"{key} = {text}\n" for key, (text, flag, _) in drawn.items() if not flag)
