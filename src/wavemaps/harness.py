@@ -30,7 +30,12 @@ leaves grows with that tolerance, so a run takes no ``fp_tol`` above
 UNIT_TOL.  A store time keeps the state only if the state lands on it to
 within 2^-40; a store time the run steps over keeps nothing.  Every
 snapshot time the state has reached writes its own numbered snapshot, so
-one step may write several.
+one step may write several.  Snapshots are written by one writer thread
+beside the step loop, one at a time; no state is changed once it is
+solved, so the writer takes no copy.  ``run`` returns or raises only once
+every snapshot it started is on disk, and a write error ends the run with
+that error, at the next snapshot or at the end.  A run without an output
+directory starts no thread.
 
 Reference comparisons measure the distance of a coarse trajectory from a
 reference on the same grid,
@@ -195,7 +200,20 @@ def _pop_reached(pending: list, t: float) -> list:
 
 
 def run(cfg: RunConfig) -> Trajectory:
-    """Drive one full simulation; returns the trajectory with all diagnostics."""
+    """Drive one full simulation; returns the trajectory with all diagnostics.
+
+    With ``cfg.out_dir``, one writer thread writes the snapshots beside the
+    step loop, and ``run`` returns or raises only once it has joined it.
+    """
+    if cfg.out_dir is None:  # no snapshots: no thread
+        return _run(cfg, None)
+    from concurrent.futures import ThreadPoolExecutor  # here: runs without output skip its import
+    with ThreadPoolExecutor(1) as writer:  # leaving the block joins the thread
+        return _run(cfg, writer)
+
+
+def _run(cfg: RunConfig, writer) -> Trajectory:
+    """The step loop of ``run``; ``writer`` writes the snapshots, one at a time."""
     g = Grid2D(cfg.M)
     ctrl = cfg.controller  # None: a fixed run
     tol = None if ctrl is None else ctrl.tol0  # the updated strategy grows it on every accept
@@ -216,9 +234,11 @@ def run(cfg: RunConfig) -> Trajectory:
                       final_t=t, final_u=u, final_w=w)
     if cfg.reference is not None:
         traj.err_w = traj.err_gu = 0.0
+    pending = None  # the future of the snapshot in flight, at most one
 
     def keep(t, tau, u, w, terms):
         """Diagnostics, stores and snapshots of the initial or an accepted state."""
+        nonlocal pending
         traj.energies.append(energy(u, w, g))
         unit_dev, orth_dev = _check_constraints(t, u, w, terms.mag_w)
         traj.unit_dev_max = max(traj.unit_dev_max, unit_dev)
@@ -229,7 +249,9 @@ def run(cfg: RunConfig) -> Trajectory:
                 traj.states.append((t, u.copy(), w.copy()))
         first = n_snaps - len(snaps)  # snapshots written so far
         for index in range(first, first + len(_pop_reached(snaps, t))):
-            _write_snapshot(cfg.out_dir, index, t, tau, u, w, g)
+            if pending is not None:
+                pending.result()  # one snapshot in flight; raises the writer's error
+            pending = writer.submit(_write_snapshot, cfg.out_dir, index, t, tau, u, w, g)
 
     terms = endpoint_terms(u, w, g)  # carried forward with the state
     keep(t, tau, u, w, terms)
@@ -280,6 +302,8 @@ def run(cfg: RunConfig) -> Trajectory:
         keep(t, tau_eff, u, w, terms)
 
     if cfg.out_dir is not None:
+        if pending is not None:
+            pending.result()
         _write_outputs(cfg, traj)
     return traj
 
@@ -383,7 +407,10 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     an empty list of taus, a t_end, tau_ref or tau not positive and finite,
     a tau_ref below t_end / 2^53 and an empty ``out_dir``.
     Only the reference stores states: each coarse run carries it as
-    ``RunConfig.reference`` and measures its errors as it steps.
+    ``RunConfig.reference`` and measures its errors as it steps.  A coarse
+    run that rejects a step goes on at half its tau, so its errors are not
+    that tau's: the study raises TimeMismatch, from inside the run at a time
+    the reference did not store, or else once the run returns.
     With an ``out_dir``, the rows go to eoc.csv there once the study is done.
     """
     if not taus:
@@ -412,6 +439,9 @@ def run_eoc_study(M: int, taus, tau_ref: float, t_end: float,
     for tau in taus:
         traj = run(RunConfig(M=M, mode="fixed", tau=tau, t_end=t_end, solver=solver,
                              reference=ref))
+        if traj.n_rejected:  # it went on at a smaller step, whose times may nest too
+            raise TimeMismatch(f"the run at tau {tau!r} rejected {traj.n_rejected} step(s): "
+                               f"its errors are not those of tau {tau!r}")
         err_w, err_gu = traj.err_w, traj.err_gu
         eoc_w, eoc_gu = ((eoc(rows[-1][1], err_w), eoc(rows[-1][3], err_gu)) if rows
                          else (None, None))

@@ -4,7 +4,10 @@ import math
 import os
 import pathlib
 import re
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
@@ -139,6 +142,117 @@ def test_snapshot_times_reached_by_one_step_get_their_own_index(tmp_path):
     # the first step reaches 0.01 and 0.015 at once
     times = [float((out / name).read_text().split()[0][2:]) for name in sidecars]
     assert times == [0.02, 0.02, 0.04]
+
+
+# a fixed M = 8 run with a snapshot at each of its nine step times
+_SNAPSHOT_RUN = dict(M=8, mode="fixed", tau=2.0**-6, t_end=2.0**-3,
+                     snapshot_times=tuple(k * 2.0**-6 for k in range(9)))
+
+
+def _snapshot_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("snap_*"))}
+
+
+def test_snapshot_writer_writes_the_bytes_of_a_serial_write(tmp_path, monkeypatch):
+    writers = []
+    write_csv = gr.write_field_csv
+
+    def recorded(path, f, g):
+        writers.append(threading.current_thread())
+        write_csv(path, f, g)
+
+    monkeypatch.setattr(gr, "write_field_csv", recorded)
+    before = threading.active_count()
+    cfg = RunConfig(**_SNAPSHOT_RUN, out_dir=str(tmp_path / "run"),
+                    store_times=_SNAPSHOT_RUN["snapshot_times"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent switches: a state changed after its handover shows
+    try:
+        traj = run(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before  # the writer is joined
+    assert len(writers) == 9 and threading.main_thread() not in writers
+    assert len(set(writers)) == 1  # one writer thread for the run
+    assert len(traj.states) == 9
+    for index, (t, u, w) in enumerate(traj.states):
+        harness._write_snapshot(str(tmp_path / "serial"), index, t, cfg.tau, u, w, traj.grid)
+    assert _snapshot_files(tmp_path / "run") == _snapshot_files(tmp_path / "serial")
+    assert len(_snapshot_files(tmp_path / "run")) == 9 * 4
+
+
+def test_run_without_output_starts_no_thread(monkeypatch, tmp_path):
+    class Started(Exception):
+        pass
+
+    def no_thread(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert run(RunConfig(**_SNAPSHOT_RUN)).n_accepted == 8
+    with pytest.raises(Started):  # the stub is the one a writer would start
+        run(RunConfig(**_SNAPSHOT_RUN, out_dir=str(tmp_path)))
+
+
+def test_snapshot_write_error_ends_the_run_with_that_error(monkeypatch, tmp_path, capsys):
+    raised = []
+    write_csv = gr.write_field_csv
+
+    def third_fails(path, f, g):
+        if len(raised) == 0 and path.endswith("snap_002_u.csv"):
+            raised.append(OSError(28, "No space left on device"))
+            raise raised[0]
+        write_csv(path, f, g)
+
+    monkeypatch.setattr(gr, "write_field_csv", third_fails)
+    before = threading.active_count()
+    out = tmp_path / "run"
+    with pytest.raises(OSError) as excinfo:
+        run(RunConfig(**_SNAPSHOT_RUN, out_dir=str(out)))
+    assert excinfo.value is raised[0]
+    assert threading.active_count() == before
+    # the run stopped at the next snapshot: nothing after the failed one was written
+    assert sorted(p.name for p in out.glob("snap_*.txt")) == ["snap_000.txt", "snap_001.txt"]
+    assert not (out / "estimator.csv").exists()
+
+    raised.clear()
+    rc = cli.main(["--mode", "fixed", "--grid", "8", "--tau", "2^-6", "--tend", "2^-3",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 4 and len(raised) == 1
+    assert "runtime failure: OSError" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_step_loop_failure_waits_for_the_snapshot_in_flight(monkeypatch, tmp_path):
+    write_csv = gr.write_field_csv
+
+    def slow(path, f, g):  # keeps a snapshot in flight when the loop fails
+        time.sleep(0.05)
+        write_csv(path, f, g)
+
+    check = harness._check_constraints
+    kept = []
+
+    def fifth_fails(t, u, w, mag_w):
+        kept.append(t)
+        if len(kept) == 5:
+            raise harness.ConstraintViolation(f"at t={t!r}")
+        return check(t, u, w, mag_w)
+
+    monkeypatch.setattr(gr, "write_field_csv", slow)
+    monkeypatch.setattr(harness, "_check_constraints", fifth_fails)
+    before = threading.active_count()
+    out = tmp_path / "run"
+    with pytest.raises(harness.ConstraintViolation, match="t=0.0625"):
+        run(RunConfig(**_SNAPSHOT_RUN, out_dir=str(out)))
+    assert threading.active_count() == before
+    M = _SNAPSHOT_RUN["M"]
+    assert sorted(p.name for p in out.glob("snap_*.txt")) == [
+        f"snap_{i:03d}.txt" for i in range(4)]
+    for i in range(4):
+        assert len((out / f"snap_{i:03d}_u.csv").read_text().splitlines()) == (M + 1) ** 2 + 1
+        for part in "uw":
+            assert read_field(out / f"snap_{i:03d}_{part}.wmf").shape == (M + 1, M + 1, 3)
 
 
 def test_store_times_keep_only_states_the_run_lands_on():
@@ -445,10 +559,27 @@ def test_reference_run_compares_every_accepted_state():
         run_eoc_study(M=8, taus=[2.0**-4], tau_ref=2.0**-6, t_end=2.0**-3)
 
 
+def test_eoc_study_stops_at_a_coarse_run_that_rejected(tmp_path, capsys):
+    # at M = 8 the run at 2^-4 rejects its first step and goes on at 2^-5,
+    # whose times nest into the reference too: its row would be 2^-5's
+    with pytest.raises(TimeMismatch, match="tau 0.0625 rejected 1 step"):
+        run_eoc_study(M=8, taus=[2**-4, 2**-5], tau_ref=2**-7, t_end=2**-3)
+    # the finest tau ends the same way from inside its run
+    for taus, tau_ref, message in (("2^-4,2^-5", "2^-7", "tau 0.0625 rejected"),
+                                   ("2^-4", "2^-6", "time 0.03125 missing")):
+        cfgfile = tmp_path / "eoc.cfg"
+        cfgfile.write_text(f"grid = 8\nmode = eoc\neoc_taus = {taus}\n"
+                           f"tau_ref = {tau_ref}\ntend = 2^-3\n")
+        assert cli.main(["--config", str(cfgfile)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: TimeMismatch") and message in err
+
+
 def test_eoc_study_holds_only_the_reference_states():
     # 32 reference states (u and w) and the fields of one run; a study that
     # also kept its coarse states would hold 48 more at once, 2^-8's and 2^-7's
-    kw = dict(M=16, taus=[2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8], tau_ref=2.0**-11, t_end=2.0**-3)
+    # (at M = 16 a run at 2^-5 rejects its first step, so the study starts at 2^-6)
+    kw = dict(M=16, taus=[2.0**-6, 2.0**-7, 2.0**-8], tau_ref=2.0**-11, t_end=2.0**-3)
     vector_field = 17 * 17 * 3 * 8
     run_eoc_study(**{**kw, "M": 8})  # imports and caches outside the trace
     tracemalloc.start()
