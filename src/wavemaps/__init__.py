@@ -2,9 +2,8 @@
 error bounds, and adaptive time stepping on a 2D finite-difference grid."""
 
 from .adapt import EQUIDISTRIBUTE, UPDATED_TOLERANCE, AdaptiveController, decide
-from .estimator import (EstimatorState, LocalBounds, SmallnessViolated, accumulate,
-                        alpha_hat, check_smallness, delta_hat, local_quantities,
-                        residual_bounds)
+from .estimator import (EstimatorState, LocalBounds, accumulate, alpha_hat,
+                        check_smallness, delta_hat, local_quantities, residual_bounds)
 from .grid import (Grid2D, cross, dirichlet_form, dot, gradient_sq, integrate, laplacian,
                    lp_norm, magnitude, read_field, write_field, write_field_csv)
 from .harness import (ConfigError, NonPositiveError, RunConfig, StepFloor, TimeMismatch,

@@ -121,11 +121,7 @@ def _given(values: dict, cls) -> dict:
 def _build_run_config(values: dict):
     run_kw = _given(values, RunConfig)
     if values.get("mode") == "adaptive":
-        ctrl_kw = _given(values, AdaptiveController)
-        if ctrl_kw.get("strategy") == UPDATED_TOLERANCE:
-            ctrl_kw.setdefault("tol0", 1e-6)
-        run_kw["controller"] = AdaptiveController(**ctrl_kw)
-        run_kw.setdefault("tau", 2.0**-10)
+        run_kw["controller"] = AdaptiveController(**_given(values, AdaptiveController))
     return RunConfig(solver=SolverConfig(**_given(values, SolverConfig)), **run_kw)
 
 

@@ -14,7 +14,9 @@ factors that depend on one state alone (u x w, lap u x u, |w|, |grad u|,
 computes them once per accepted state and uses them on both intervals
 that state bounds.  Under the smallness condition A_u^2 + tau * B_u < 1/4
 they yield point-wise upper bounds for each residual part of the
-reconstruction, valid uniformly on the interval.  The bound record also
+reconstruction, valid uniformly on the interval.  check_smallness is the
+one test of that condition: residual_bounds assumes it and does not test
+it again, so every caller tests it first.  The bound record also
 keeps the majorants W = C_w + tau * B_w >= |wtilde| (hence >= |utilde x
 wtilde|) and G = 2 (C_u_x + tau * B_u_x) >= |grad utilde|, which
 residual_bounds forms once; the two scalar rates read only that record:
@@ -47,10 +49,6 @@ from .scheme import StepRecord
 # of the stability estimate; changing either alone voids the bound
 C_Q = 4.0
 P_EXP = 4.0
-
-class SmallnessViolated(Exception):
-    """A_u^2 + tau * B_u reached 1/4 somewhere; the step size must be reduced."""
-
 
 @dataclass
 class LocalBounds:
@@ -130,7 +128,11 @@ def check_smallness(lb: LocalBounds, tau: float) -> bool:
 
 
 def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
-    """Evaluate the point-wise bound formulas; requires the smallness condition."""
+    """Evaluate the point-wise bound formulas.
+
+    The bounds hold only where check_smallness(lb, tau) is True, and every
+    caller tests that first; this function does not test it again.
+    """
     A_u, A_u_x, A_u_xx = lb.A_u, lb.A_u_x, lb.A_u_xx
     A_w, A_w_x = lb.A_w, lb.A_w_x
     B_u, B_u_x, B_u_xx = lb.B_u, lb.B_u_x, lb.B_u_xx
@@ -147,8 +149,6 @@ def residual_bounds(lb: LocalBounds, tau: float) -> ResidualBoundFields:
     tB_u = tau * B_u
     tB_w = tau * B_w
     small = A_u2 + tB_u
-    if not np.all(small < 0.25):
-        raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
 
     # S bounds |utilde . wtilde| on the interval
     S = tB_w + C_w * small

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wavemaps import (EstimatorState, Grid2D, LocalBounds, RunConfig, SmallnessViolated,
-                      SolverConfig, StepRecord, accumulate, alpha_hat,
-                      check_smallness, constant_data, delta_hat, eval_residuals,
-                      initial_data, local_quantities, residual_bounds, rotation_data,
-                      run, step)
+from wavemaps import (EstimatorState, Grid2D, LocalBounds, RunConfig, SolverConfig,
+                      StepRecord, accumulate, alpha_hat, check_smallness, constant_data,
+                      delta_hat, eval_residuals, initial_data, local_quantities,
+                      residual_bounds, rotation_data, run, step)
 from wavemaps import grid as gr
 from wavemaps import harness
 from wavemaps.estimator import C_Q, P_EXP, ResidualBoundFields
@@ -90,8 +89,6 @@ def ref_residual_bounds(lb, tau):
     tB_u = tau * B_u
     tB_u_x = tau * B_u_x
     tB_w = tau * B_w
-    if not np.all(A_u2 + tB_u < 0.25):
-        raise SmallnessViolated("A_u^2 + tau*B_u >= 1/4 at some node")
 
     bd_ru1 = tB_w + C_w * A_u2 + C_w * tau * B_u + 0.25 * A_u * A_w
 
@@ -177,13 +174,7 @@ def test_estimator_layers_match_reference_bitwise(M, data, tau_per_h):
     u1, w1, _ = step(u, w, tau, CFG, g)
     rec = StepRecord(grid=g, t_n=0.0, t_np1=tau, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
     lb = local_quantities(rec, g)
-    try:
-        want = ref_residual_bounds(lb, tau)
-    except SmallnessViolated:
-        with pytest.raises(SmallnessViolated):
-            residual_bounds(lb, tau)
-    else:
-        assert_fields_bitwise_equal(residual_bounds(lb, tau), want)
+    assert_fields_bitwise_equal(residual_bounds(lb, tau), ref_residual_bounds(lb, tau))
 
 
 def ref_alpha_hat(rbf, g):
@@ -297,11 +288,6 @@ def test_residual_bounds_closed_form_substitution():
     assert np.allclose(rbf.bd_rg, (a * b) ** 2, rtol=1e-14)
 
 
-def test_residual_bounds_requires_smallness():
-    with pytest.raises(SmallnessViolated):
-        residual_bounds(const_bounds(G, A_u=0.6), 0.1)
-
-
 def test_alpha_hat_trivial_values():
     rbf = residual_bounds(const_bounds(G), 0.1)
     assert alpha_hat(rbf, G) == 0.0
@@ -334,6 +320,65 @@ def test_bound_monotonicity_in_local_quantities():
                 f"{bf.name} decreased when {f.name} grew"
         assert alpha_hat(rbf1, G) >= a0 - 1e-13
         assert delta_hat(rbf1, G) >= d0 - 1e-13
+
+
+# Invariance: the scheme and the bounds commute with target rotations and
+# with the x flip of the grid.  These tests pin no expression order, so
+# they hold across formula changes of the bounds.  The problem data is
+# mirror-symmetric in x up to a target reflection, so the flip is also
+# tested on a random state.
+
+
+def start_state(g, kind):
+    """The problem data after 3 steps of h/16, or a seeded random state."""
+    if kind == "random":
+        return random_state(g, np.random.default_rng(g.M))
+    u, w = initial_data(g)
+    for _ in range(3):
+        u, w, _ = step(u, w, g.h / 16, CFG, g)
+    return u, w
+
+
+def step_and_rates(u, w, tau, g):
+    """(u1, w1, sweeps, alpha_hat, delta_hat) of one step from (u, w)."""
+    u1, w1, sweeps = step(u, w, tau, CFG, g)
+    rec = StepRecord(grid=g, t_n=0.0, t_np1=tau, u_n=u, u_np1=u1, w_n=w, w_np1=w1)
+    lb = local_quantities(rec, g)
+    assert check_smallness(lb, tau)
+    rbf = residual_bounds(lb, tau)
+    return u1, w1, sweeps, alpha_hat(rbf, g), delta_hat(rbf, g)
+
+
+@pytest.mark.parametrize("kind", ("problem", "random"))
+@pytest.mark.parametrize("M", (16, 32))
+def test_step_and_rates_commute_with_a_target_rotation(M, kind):
+    # R(a x b) = Ra x Rb for R in SO(3), and the bounds read magnitudes only
+    g = Grid2D(M)
+    u, w = start_state(g, kind)
+    R, _ = np.linalg.qr(np.random.default_rng(M).normal(size=(3, 3)))
+    if np.linalg.det(R) < 0.0:
+        R[:, 0] *= -1.0
+    rotated = step_and_rates(u @ R.T, w @ R.T, g.h / 16, g)
+    plain = step_and_rates(u, w, g.h / 16, g)
+    for a, b in zip(rotated[:2], plain[:2]):
+        assert np.abs(a - b @ R.T).max() <= 1e-13
+    assert rotated[2] == plain[2]
+    assert rotated[3:] == pytest.approx(plain[3:], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ("problem", "random"))
+@pytest.mark.parametrize("M", (16, 32))
+def test_step_and_rates_commute_with_the_x_flip(M, kind):
+    # the stencils add and subtract the two x neighbours, which the flip
+    # swaps exactly; only the rates' sums run in another order
+    g = Grid2D(M)
+    u, w = start_state(g, kind)
+    flipped = step_and_rates(u[::-1].copy(), w[::-1].copy(), g.h / 16, g)
+    plain = step_and_rates(u, w, g.h / 16, g)
+    for a, b in zip(flipped[:2], plain[:2]):
+        assert a.tobytes() == b[::-1].tobytes()
+    assert flipped[2] == plain[2]
+    assert flipped[3:] == pytest.approx(plain[3:], rel=1e-12, abs=0.0)
 
 
 def test_halving_tau_halves_differences_and_quarters_alpha():
@@ -371,11 +416,27 @@ def test_dominance_on_sampled_records():
             assert worst[name] <= slack, f"{name} violated kappa*h: {worst[name]}"
 
 
+DENSE_FRACS = tuple((k + 0.5) / 65 for k in range(65))
+
+
+def audit_interval(rec, rbf, fracs):
+    """(largest ||grad r_u||_2 / ||bd_grad_ru||_2, worst excesses, slack-adjusted
+    point-part excesses) of one interval at the sampled fractions of it."""
+    g = rec.grid
+    bound = gr.lp_norm(rbf.bd_grad_ru1 + rbf.bd_grad_ru2 + rbf.bd_grad_ru3, 2.0, g)
+    grad_r_u = (gr.grad_magnitude(eval_residuals(rec, rec.t_n + frac * rec.tau).r_u, g)
+                for frac in fracs)
+    ratio = max(gr.lp_norm(f, 2.0, g) for f in grad_r_u) / bound
+    return (ratio, *dominance_violations(rec, rbf, fracs))
+
+
 @pytest.fixture(scope="module")
 def trajectory_audit():
     """Per M: the largest ||grad r_u||_2 / ||bd_grad_ru||_2 and the worst
     dominance excesses over every interval of a fixed problem-data run to
-    t = 0.25 at tau = h/16, each interval rebuilt from two stored states."""
+    t = 0.25 at tau = h/16, each interval rebuilt from two stored states and
+    sampled at 5 times.  The interval with the largest point-part excess is
+    sampled again at 65 times."""
     audit = {}
     for M in (16, 32):
         g = Grid2D(M)
@@ -384,21 +445,18 @@ def trajectory_audit():
         traj = run(RunConfig(M=M, tau=tau, t_end=0.25,
                              store_times=tuple(k * tau for k in range(n + 1))))
         assert len(traj.states) == n + 1
-        ratio = 0.0
-        worst = dict.fromkeys(GRAD_PART_NAMES, -np.inf)
-        rel = dict.fromkeys(POINT_PART_NAMES, -np.inf)
+        found, top = [], (-np.inf,)
         for (t0, u0, w0), (t1, u1, w1) in zip(traj.states, traj.states[1:]):
             rec = StepRecord(grid=g, t_n=t0, t_np1=t1, u_n=u0, u_np1=u1, w_n=w0, w_np1=w1)
             rbf = residual_bounds(local_quantities(rec, g), rec.tau)
-            bd_grad_ru = rbf.bd_grad_ru1 + rbf.bd_grad_ru2 + rbf.bd_grad_ru3
-            bound = gr.lp_norm(bd_grad_ru, 2.0, g)
-            for frac in SAMPLE_FRACS:
-                r_u = eval_residuals(rec, t0 + frac * rec.tau).r_u
-                ratio = max(ratio, gr.lp_norm(gr.grad_magnitude(r_u, g), 2.0, g) / bound)
-            worst_i, rel_i = dominance_violations(rec, rbf)
-            worst = {name: max(worst[name], worst_i[name]) for name in worst}
-            rel = {name: max(rel[name], rel_i[name]) for name in rel}
-        audit[M] = ratio, worst, rel
+            found.append(audit_interval(rec, rbf, SAMPLE_FRACS))
+            excess = max(found[-1][2].values())
+            if excess > top[0]:
+                top = excess, rec, rbf
+        found.append(audit_interval(*top[1:], DENSE_FRACS))
+        audit[M] = (max(ratio for ratio, _, _ in found),
+                    {name: max(worst[name] for _, worst, _ in found) for name in GRAD_PART_NAMES},
+                    {name: max(rel[name] for _, _, rel in found) for name in POINT_PART_NAMES})
     return audit
 
 

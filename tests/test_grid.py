@@ -184,6 +184,24 @@ def test_cross_dot_triple_product():
     assert np.abs(triple).max() <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("M", (2, 3, 4, 7, 16, 33))
+def test_gradient_of_cross_obeys_the_discrete_leibniz_rule(M):
+    # D(a x b)_i = Da_i x b_{i+1} + a_{i-1} x Db_i along each axis, with the
+    # neighbours from mirror ghosts; at the edge nodes both sides are 0
+    g = Grid2D(M)
+    rng = np.random.default_rng(M)
+    a, b = rng.normal(size=(2,) + g.shape + (3,))
+    scale = magnitude(a).max() * magnitude(b).max() / g.h
+    for axis, (d_ab, d_a, d_b) in enumerate(zip(gr.gradient(cross(a, b), g),
+                                                gr.gradient(a, g), gr.gradient(b, g))):
+        width = [(0, 0)] * 3
+        width[axis] = (1, 1)
+        a_minus = np.take(np.pad(a, width, mode="reflect"), range(M + 1), axis=axis)
+        b_plus = np.take(np.pad(b, width, mode="reflect"), range(2, M + 3), axis=axis)
+        rule = cross(d_a, b_plus) + cross(a_minus, d_b)
+        assert np.abs(d_ab - rule).max() <= 1e-14 * scale, axis
+
+
 def test_integrate_unit():
     g = Grid2D(9)
     assert abs(integrate(np.ones(g.shape), g) - 1.0) < 1e-14

@@ -880,13 +880,13 @@ def test_cli_help_exits_0(capsys):
 
 
 def test_cli_defaults_are_the_dataclass_defaults():
+    # a key not given takes its dataclass default in every mode, for every strategy
     assert cli._build_run_config({}) == RunConfig()
-    assert cli._build_run_config({"mode": "adaptive"}) == RunConfig(mode="adaptive",
-                                                                    tau=2.0**-10)
-    # the two defaults only the command line sets
-    updated = cli._build_run_config({"mode": "adaptive", "strategy": "updated"})
-    assert updated.controller == AdaptiveController(strategy="updated", tol0=1e-6)
-    assert updated.tau == 2.0**-10
+    for mode in ("fixed", "adaptive"):
+        assert cli._build_run_config({"mode": mode}) == RunConfig(mode=mode)
+    for strategy in (EQUIDISTRIBUTE, UPDATED_TOLERANCE):
+        assert cli._build_run_config({"mode": "adaptive", "strategy": strategy}) == \
+            RunConfig(mode="adaptive", controller=AdaptiveController(strategy=strategy))
 
 
 def test_cli_dyadic_number_parser():
